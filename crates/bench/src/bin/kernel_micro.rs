@@ -13,7 +13,12 @@
 //!   result is asserted bit-identical before timing;
 //! * `quantizer_micro`: the per-element cost of each deploy-time
 //!   quantizer spec (Shift, affine fast path, threshold-table search),
-//!   isolated by subtracting a passthrough baseline artifact.
+//!   isolated by subtracting a passthrough baseline artifact;
+//! * `exact_mac_micro`: the three training kernels at the paper's
+//!   300×400 layer and batch 64, on inputs whose no-saturation
+//!   certificate holds (wrapping MAC loop) against near-saturation
+//!   inputs it refuses (saturating chain) — both bit-equality gated
+//!   against the per-sample chain kernels before timing.
 //!
 //! Environment:
 //!
@@ -25,7 +30,7 @@
 
 use fixar_deploy::{ActKind, PolicyArtifact};
 use fixar_fixed::{AffineQuantizer, Fx32, QFormat};
-use fixar_tensor::{Matrix, Parallelism};
+use fixar_tensor::{exact_mac_stats, Matrix, Parallelism};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -217,6 +222,7 @@ fn main() {
     push(&mut records, "gemv_t_batch_packed 256x192 w1".into(), ns);
 
     quantizer_micro(reps, &mut records);
+    exact_mac_micro(reps, &mut records);
 
     if let Ok(path) = std::env::var("FIXAR_BENCH_JSON") {
         let mut json = String::from("{\n");
@@ -317,5 +323,90 @@ fn quantizer_micro(reps: usize, records: &mut Vec<Record>) {
     ] {
         let ns = (time_arm(art) - base_ns).max(0.0);
         push(records, name.into(), ns);
+    }
+}
+
+/// Certified vs refused inputs on the three kernels `Mlp` trains
+/// through, at the paper's 300×400 layer and batch 64.
+///
+/// Both arms share the weights and every input but one element: the
+/// refused arm plants a near-rail value (1800.0) in the first input row,
+/// the first error row and the first gradient row, which breaks the
+/// certificate so the span falls back to the saturating chain. Before
+/// timing, each arm is gated bit-equal to the per-sample chain kernels
+/// (`gemv`, `gemv_t`, `add_outer`) and the certified/fallback counters
+/// must show the path the arm claims.
+fn exact_mac_micro(reps: usize, records: &mut Vec<Record>) {
+    const OUT: usize = 300;
+    const IN: usize = 400;
+    const B: usize = 64;
+    let reps = reps.div_ceil(10);
+    println!("exact_mac_micro: {OUT}x{IN} weights, batch {B}, Fx32, {reps} reps");
+
+    let w = Matrix::<f64>::from_fn(OUT, IN, |r, c| {
+        ((r * 7 + c * 3) % 29) as f64 * 0.004 - 0.056
+    })
+    .cast::<Fx32>();
+    let pack = w.pack();
+    let inputs = |rail: bool| {
+        let mut a = Matrix::<f64>::from_fn(B, IN, |b, c| ((b + c * 3) % 11) as f64 * 0.3 - 1.5)
+            .cast::<Fx32>();
+        let mut e = Matrix::<f64>::from_fn(B, OUT, |b, c| ((b * 3 + c) % 7) as f64 * 0.05 - 0.15)
+            .cast::<Fx32>();
+        let mut g = Matrix::<Fx32>::zeros(OUT, IN);
+        if rail {
+            a[(0, 0)] = Fx32::from_f64(1800.0);
+            e[(0, 0)] = Fx32::from_f64(1800.0);
+            g[(0, 0)] = Fx32::from_f64(1800.0);
+        }
+        (a, e, g)
+    };
+    for (arm, rail) in [("certified", false), ("refused", true)] {
+        let (a, e, g0) = inputs(rail);
+        let before = exact_mac_stats();
+        let mut y = Matrix::<Fx32>::zeros(B, OUT);
+        pack.gemv_batch(&a, &mut y).unwrap();
+        let mut yt = Matrix::<Fx32>::zeros(B, IN);
+        pack.gemv_t_batch(&e, &mut yt).unwrap();
+        let mut g = g0.clone();
+        g.add_outer_batch(&e, &a).unwrap();
+        let after = exact_mac_stats();
+        let (hits, falls) = (
+            after.certified - before.certified,
+            after.fallback - before.fallback,
+        );
+        assert_eq!(
+            (hits, falls),
+            if rail { (0, 3) } else { (3, 0) },
+            "exact_mac_micro {arm} arm took the wrong path"
+        );
+        let mut g_ref = g0.clone();
+        for b in 0..B {
+            assert_eq!(y.row(b), w.gemv_alloc(a.row(b)).unwrap().as_slice());
+            assert_eq!(yt.row(b), w.gemv_t_alloc(e.row(b)).unwrap().as_slice());
+            g_ref.add_outer(e.row(b), a.row(b)).unwrap();
+        }
+        assert_eq!(g, g_ref, "exact_mac_micro {arm} add_outer_batch diverged");
+
+        let ns = time_ns_per_sample(reps, B, || {
+            pack.gemv_batch(std::hint::black_box(&a), &mut y).unwrap();
+            std::hint::black_box(&y);
+        });
+        push(records, format!("exact_mac gemv_batch {arm}"), ns);
+        let ns = time_ns_per_sample(reps, B, || {
+            pack.gemv_t_batch(std::hint::black_box(&e), &mut yt)
+                .unwrap();
+            std::hint::black_box(&yt);
+        });
+        push(records, format!("exact_mac gemv_t_batch {arm}"), ns);
+        // The gradient restarts from its initial value every rep, so
+        // every timed call sees the arm's inputs (and takes its path).
+        let ns = time_ns_per_sample(reps, B, || {
+            g.as_mut_slice().copy_from_slice(g0.as_slice());
+            g.add_outer_batch(std::hint::black_box(&e), std::hint::black_box(&a))
+                .unwrap();
+            std::hint::black_box(&g);
+        });
+        push(records, format!("exact_mac add_outer_batch {arm}"), ns);
     }
 }

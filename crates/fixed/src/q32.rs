@@ -151,6 +151,17 @@ impl<const F: u32> Q32<F> {
         Self(clamp_i64(rounded))
     }
 
+    /// Wrapping MAC `self + round(w·x)`: the product rounds to nearest
+    /// exactly as in [`Q32::saturating_mul`], but neither the product
+    /// nor the sum clamps — both wrap modulo 2^32. Equal to
+    /// `self + w * x` whenever that expression does not saturate.
+    #[inline]
+    pub fn wrapping_mac(self, w: Self, x: Self) -> Self {
+        let prod = w.0 as i64 * x.0 as i64;
+        let rounded = (prod + (1i64 << (F - 1))) >> F;
+        Self(self.0.wrapping_add(rounded as i32))
+    }
+
     /// Saturating division, truncating toward zero.
     ///
     /// Division by zero saturates to [`Q32::MAX`] or [`Q32::MIN`] according
@@ -390,6 +401,22 @@ mod tests {
         let big = Q::from_f64(1800.0);
         assert_eq!(big * big, Q::MAX);
         assert_eq!(big * -big, Q::MIN);
+    }
+
+    #[test]
+    fn wrapping_mac_matches_saturating_chain_until_it_clamps() {
+        let acc = Q::from_f64(7.5);
+        let (w, x) = (Q::from_f64(-1.25), Q::from_f64(3.0e-6));
+        assert_eq!(acc.wrapping_mac(w, x), acc + w * x);
+        // Same round-half-up as `*`: EPSILON * 0.5 rounds to EPSILON.
+        let half = Q::from_f64(0.5);
+        assert_eq!(Q::ZERO.wrapping_mac(Q::EPSILON, half), Q::EPSILON);
+        // Past the rail the chain clamps and the wrapping MAC wraps.
+        assert_eq!(Q::MAX + Q::ONE * Q::ONE, Q::MAX);
+        assert_eq!(
+            Q::MAX.wrapping_mac(Q::ONE, Q::ONE).raw(),
+            i32::MIN + (1 << 20) - 1
+        );
     }
 
     #[test]

@@ -117,6 +117,34 @@ pub trait Scalar:
     fn mul_add(self, a: Self, b: Self) -> Self {
         self * a + b
     }
+
+    /// Fractional bits of the format's exact-integer MAC, or `None` when
+    /// it has none.
+    ///
+    /// `Some(f)` promises that [`Scalar::wrapping_mac`] computes
+    /// `acc + round(w·x / 2^f)` on the raw words, wrapping instead of
+    /// saturating, with the same per-product rounding as `w * x`. The
+    /// tensor kernels use it behind a no-saturation certificate built
+    /// from [`Scalar::raw_magnitude`]: once no product and no partial sum
+    /// can leave the raw range, the saturating chain `acc + w * x`
+    /// equals the wrapping one bit for bit, in any summation order.
+    /// Floats return `None`: reordering their sums would change the bits.
+    const EXACT_MAC_FRAC_BITS: Option<u32> = None;
+
+    /// Magnitude `|raw|` of the raw integer word, the operand of the
+    /// no-saturation certificate. Only meaningful when
+    /// [`Scalar::EXACT_MAC_FRAC_BITS`] is `Some`; the default is 0.
+    #[inline]
+    fn raw_magnitude(self) -> u64 {
+        0
+    }
+
+    /// One MAC step `self + round(w·x)`. Formats with an exact-integer MAC
+    /// wrap on overflow; the default is the saturating `self + w * x`.
+    #[inline]
+    fn wrapping_mac(self, w: Self, x: Self) -> Self {
+        self + w * x
+    }
 }
 
 impl Scalar for f32 {
@@ -217,6 +245,16 @@ impl<const F: u32> Scalar for Q32<F> {
     const NAME: &'static str = "fixed32";
     const BITS: u32 = 32;
     const IS_FIXED_POINT: bool = true;
+    const EXACT_MAC_FRAC_BITS: Option<u32> = Some(F);
+
+    #[inline]
+    fn raw_magnitude(self) -> u64 {
+        self.raw().unsigned_abs() as u64
+    }
+    #[inline]
+    fn wrapping_mac(self, w: Self, x: Self) -> Self {
+        Self::wrapping_mac(self, w, x)
+    }
 
     #[inline]
     fn zero() -> Self {

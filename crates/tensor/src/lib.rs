@@ -55,6 +55,25 @@
 //! source matrix afterwards does not update it (callers invalidate and
 //! re-pack, as `fixar-nn`'s `Mlp` does on weight updates).
 //!
+//! # Certified exact-integer MACs
+//!
+//! The order only matters while a saturating add can clamp. The batched
+//! kernels the training path runs through — [`WeightPack::gemv_batch`],
+//! [`WeightPack::gemv_t_batch`] and [`Matrix::add_outer_batch`], their
+//! unpacked [`Matrix::gemv_batch`] / [`Matrix::gemv_t_batch`] forms, and
+//! all their `_par`/`_par_in` forms — certify each span before running it:
+//! when the bound `acc + (Σ|w|·max|x|) >> F + n + 2` of a `Q32<F>`
+//! reduction of length `n` stays below `i32::MAX`, no product and no
+//! partial sum can saturate, so the chain equals the exact integer sum
+//! in any order and the span runs the cheaper wrapping MAC
+//! ([`fixar_fixed::Scalar::wrapping_mac`]). The weight side of the bound
+//! is cached by [`Matrix::pack`] (the unpacked forms scan it per call,
+//! next to the transpose they already rebuild); the input side is one
+//! `max|x|` scan of the span's rows. A refused span runs the saturating chain unchanged,
+//! so the result is the chain's bit for bit either way. Floats have no
+//! certificate and always run the chain. [`exact_mac_stats`] counts the
+//! certified and fallback spans.
+//!
 //! The `*_par_in` forms ([`Matrix::gemv_batch_par_in`],
 //! [`Matrix::gemv_t_batch_par_in`], [`Matrix::add_outer_batch_par_in`],
 //! [`Matrix::matmul_par_in`], [`Matrix::gather_columns_par_in`]) extend
@@ -74,8 +93,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cert;
 mod matrix;
 pub mod vector;
 
+pub use cert::{exact_mac_stats, ExactMacStats};
 pub use fixar_pool::{KernelScope, Parallelism, PoolError, WorkerPool};
 pub use matrix::{Matrix, ShapeError, WeightPack};

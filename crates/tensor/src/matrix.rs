@@ -8,6 +8,8 @@ use std::sync::Arc;
 use fixar_fixed::Scalar;
 use fixar_pool::{split_ranges, KernelScope, Parallelism};
 
+use crate::cert;
+
 /// Error returned when operand shapes do not line up.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeError {
@@ -308,9 +310,13 @@ impl<S: Scalar> Matrix<S> {
     /// reduced over the columns `j` in ascending order — the same
     /// per-element reduction sequence as the column-broadcast hardware
     /// dataflow. (Only the *loop nest* differs: the batched kernel walks
-    /// `W` row-major with a register accumulator, which is what makes it
+    /// a transpose of `W` with unit stride, which is what makes it
     /// faster; saturation and rounding are per-element, so the result is
-    /// identical.)
+    /// identical.) When the crate's no-saturation certificate holds —
+    /// `maxᵢ Σⱼ|wᵢⱼ|`, computed per call, times `max|A|` — the chain runs
+    /// as a wrapping MAC, which cannot change the result. Repeated calls
+    /// on the same weights should use [`Matrix::pack`], which caches both
+    /// the transpose and the bound.
     ///
     /// # Errors
     ///
@@ -324,11 +330,11 @@ impl<S: Scalar> Matrix<S> {
         // row — element-independent within a step, so it vectorizes,
         // while every output element still reduces in ascending `j`,
         // exactly the per-element order of `gemv`'s column broadcast
-        // (bit-exact per row). The one-off transpose copy is amortized
-        // over the whole minibatch — this is what a per-sample kernel
-        // cannot do.
+        // (bit-exact per row). The one-off transpose copy and row-sum
+        // scan are amortized over the whole minibatch — this is what a
+        // per-sample kernel cannot do.
         let wt = self.transposed();
-        gemv_batch_span(&wt, a, 0..a.rows, &mut y.data);
+        gemv_batch_span(&wt, self.max_row_abs_sum(), a, 0..a.rows, &mut y.data);
         Ok(())
     }
 
@@ -380,6 +386,7 @@ impl<S: Scalar> Matrix<S> {
         self.check_gemv_batch(a, y)?;
         let out_dim = self.rows;
         let wt = self.transposed();
+        let row_abs_sum = self.max_row_abs_sum();
         let pool = par.pool().expect("shards > 1 implies a pool");
         pool.scope(|scope| {
             let mut rest = y.data.as_mut_slice();
@@ -387,7 +394,7 @@ impl<S: Scalar> Matrix<S> {
                 let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
                 rest = tail;
                 let wt = &wt;
-                scope.execute(move || gemv_batch_span(wt, a, range, chunk));
+                scope.execute(move || gemv_batch_span(wt, row_abs_sum, a, range, chunk));
             }
         })
         .unwrap_or_else(|e| panic!("gemv_batch_par worker panicked: {e}"));
@@ -449,13 +456,14 @@ impl<S: Scalar> Matrix<S> {
         // The transpose is shared by every shard and must survive until
         // the fused scope joins, which outlives this call — hence Arc.
         let wt = Arc::new(self.transposed());
+        let row_abs_sum = self.max_row_abs_sum();
         let shards = ks.shards(a.rows);
         let mut rest = y.data.as_mut_slice();
         for range in split_ranges(a.rows, shards) {
             let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
             rest = tail;
             let wt = Arc::clone(&wt);
-            ks.submit(move || gemv_batch_span(&wt, a, range, chunk));
+            ks.submit(move || gemv_batch_span(&wt, row_abs_sum, a, range, chunk));
         }
         Ok(())
     }
@@ -469,7 +477,10 @@ impl<S: Scalar> Matrix<S> {
     /// Bit-exact with calling [`Matrix::gemv_t`] on every row of `e` in
     /// row order: for each output element `y[b][j]`, contributions are
     /// reduced over `i` (the rows of `W`) in ascending order, exactly as
-    /// the row-broadcast transpose dataflow produces them.
+    /// the row-broadcast transpose dataflow produces them — or, when the
+    /// no-saturation certificate holds (`maxⱼ Σᵢ|wᵢⱼ|`, computed per
+    /// call, times `max|E|`), through a wrapping MAC with the same
+    /// result.
     ///
     /// # Errors
     ///
@@ -477,7 +488,7 @@ impl<S: Scalar> Matrix<S> {
     /// `(e.rows(), cols)`.
     pub fn gemv_t_batch(&self, e: &Matrix<S>, y: &mut Matrix<S>) -> Result<(), ShapeError> {
         self.check_gemv_t_batch(e, y)?;
-        gemv_t_batch_span(self, e, 0..e.rows, &mut y.data);
+        gemv_t_batch_span(self, self.max_col_abs_sum(), e, 0..e.rows, &mut y.data);
         Ok(())
     }
 
@@ -525,13 +536,14 @@ impl<S: Scalar> Matrix<S> {
         }
         self.check_gemv_t_batch(e, y)?;
         let cols = self.cols;
+        let col_abs_sum = self.max_col_abs_sum();
         let pool = par.pool().expect("shards > 1 implies a pool");
         pool.scope(|scope| {
             let mut rest = y.data.as_mut_slice();
             for range in split_ranges(e.rows, shards) {
                 let (chunk, tail) = rest.split_at_mut(range.len() * cols);
                 rest = tail;
-                scope.execute(move || gemv_t_batch_span(self, e, range, chunk));
+                scope.execute(move || gemv_t_batch_span(self, col_abs_sum, e, range, chunk));
             }
         })
         .unwrap_or_else(|err| panic!("gemv_t_batch_par worker panicked: {err}"));
@@ -582,20 +594,24 @@ impl<S: Scalar> Matrix<S> {
     ) -> Result<(), ShapeError> {
         self.check_gemv_t_batch(e, y)?;
         let cols = self.cols;
+        let col_abs_sum = self.max_col_abs_sum();
         let shards = ks.shards(e.rows);
         let mut rest = y.data.as_mut_slice();
         for range in split_ranges(e.rows, shards) {
             let (chunk, tail) = rest.split_at_mut(range.len() * cols);
             rest = tail;
-            ks.submit(move || gemv_t_batch_span(self, e, range, chunk));
+            ks.submit(move || gemv_t_batch_span(self, col_abs_sum, e, range, chunk));
         }
         Ok(())
     }
 
     /// Batched rank-1 gradient accumulation
-    /// `W += Σ_b E[b] ⊗ A[b]`, summed **in row (sample) order** — the
-    /// documented batch-reduction order of the gradient memory. Bit-exact
-    /// with calling [`Matrix::add_outer`] per sample row in order.
+    /// `W += Σ_b E[b] ⊗ A[b]`, bit-exact with calling
+    /// [`Matrix::add_outer`] per sample row in order. Each row of `self`
+    /// is certified on its own (`max|wᵢ| + Σ_b|E[b][i]|·max|A|`): a
+    /// certified row runs the wrapping MAC, a refused one sums **in row
+    /// (sample) order** — the documented batch-reduction order of the
+    /// gradient memory — through the saturating chain.
     ///
     /// # Errors
     ///
@@ -1196,7 +1212,38 @@ impl<S: Scalar> Matrix<S> {
             cols: self.cols,
             wt: self.transposed(),
             w_panels,
+            row_abs_sum: self.max_row_abs_sum(),
+            col_abs_sum: self.max_col_abs_sum(),
         }
+    }
+
+    /// Largest raw row sum `maxᵢ Σⱼ|wᵢⱼ|`: the weight side of the
+    /// forward MVM's exact-MAC certificate (0 for formats without one,
+    /// whose kernels never certify).
+    fn max_row_abs_sum(&self) -> u64 {
+        if S::EXACT_MAC_FRAC_BITS.is_none() || self.cols == 0 {
+            return 0;
+        }
+        self.data
+            .chunks_exact(self.cols)
+            .map(|row| cert::raw_abs_sum(row.iter().copied()))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Largest raw column sum `maxⱼ Σᵢ|wᵢⱼ|`: the weight side of the
+    /// transposed MVM's certificate (0 for formats without one).
+    fn max_col_abs_sum(&self) -> u64 {
+        if S::EXACT_MAC_FRAC_BITS.is_none() || self.cols == 0 {
+            return 0;
+        }
+        let mut col_sums = vec![0u64; self.cols];
+        for row in self.data.chunks_exact(self.cols) {
+            for (sum, &w) in col_sums.iter_mut().zip(row) {
+                *sum += w.raw_magnitude();
+            }
+        }
+        col_sums.into_iter().max().unwrap_or(0)
     }
 }
 
@@ -1220,15 +1267,20 @@ const GEMV_T_PANEL: usize = 16;
 /// the pack once.
 ///
 /// The packed kernels are **bit-identical** to their unpacked
-/// [`Matrix`] counterparts: only the loop nests differ, never the
-/// per-element reduction chains (ascending `j` for `gemv_batch`,
-/// ascending `i` for `gemv_t_batch` — the crate's accumulation-order
-/// contract), so packed ≡ unpacked ≡ per-sample in every backend,
-/// including saturating `Fx32`, at every worker count.
+/// [`Matrix`] counterparts, so packed ≡ unpacked ≡ per-sample in every
+/// backend, including saturating `Fx32`, at every worker count. Each
+/// span first checks the crate's no-saturation certificate against the
+/// largest raw row sum (forward) or column sum (transposed) of `W`,
+/// which the pack caches next to the layouts. A certified span runs the
+/// wrapping MAC, whose result every summation order reaches; a refused
+/// span (and every float span) runs the per-element chains of the
+/// accumulation-order contract — ascending `j` for `gemv_batch`,
+/// ascending `i` for `gemv_t_batch`.
 ///
-/// A pack is a snapshot: it does **not** track later mutations of the
-/// source matrix. Callers that mutate weights must rebuild (or, like
-/// `fixar-nn`'s `Mlp`, invalidate and lazily rebuild) the pack.
+/// A pack is a snapshot, bound included: it does **not** track later
+/// mutations of the source matrix. Callers that mutate weights must
+/// rebuild (or, like `fixar-nn`'s `Mlp`, invalidate and lazily rebuild)
+/// the pack.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightPack<S> {
     rows: usize,
@@ -1239,6 +1291,12 @@ pub struct WeightPack<S> {
     /// `gemv_t_batch` kernel: element `(i, p * GEMV_T_PANEL + t)` of the
     /// source lives at `(p * rows + i) * GEMV_T_PANEL + t`.
     w_panels: Vec<S>,
+    /// Largest raw row sum `maxᵢ Σⱼ|wᵢⱼ|` of this snapshot — the
+    /// `gemv_batch` certificate's weight bound.
+    row_abs_sum: u64,
+    /// Largest raw column sum `maxⱼ Σᵢ|wᵢⱼ|` — the `gemv_t_batch`
+    /// certificate's weight bound.
+    col_abs_sum: u64,
 }
 
 impl<S: Scalar> WeightPack<S> {
@@ -1300,16 +1358,16 @@ impl<S: Scalar> WeightPack<S> {
 
     /// Packed [`Matrix::gemv_batch`]: `Y[b] = W·A[b]` over the cached
     /// transpose, two samples per register tile (sharing every streamed
-    /// `Wᵀ` row across the pair), each output element still reducing
-    /// over the input columns `j` in ascending order — bit-exact with
-    /// the unpacked kernel.
+    /// `Wᵀ` row across the pair) — bit-exact with the unpacked kernel.
+    /// The wrapping MAC runs when the certificate (cached row sums ×
+    /// `max|A|`) holds, the ascending-`j` saturating chain otherwise.
     ///
     /// # Errors
     ///
     /// Same shape conditions as [`Matrix::gemv_batch`].
     pub fn gemv_batch(&self, a: &Matrix<S>, y: &mut Matrix<S>) -> Result<(), ShapeError> {
         self.check_gemv_batch(a, y)?;
-        gemv_batch_span_packed(&self.wt, a, 0..a.rows, &mut y.data);
+        gemv_batch_span(&self.wt, self.row_abs_sum, a, 0..a.rows, &mut y.data);
         Ok(())
     }
 
@@ -1336,14 +1394,13 @@ impl<S: Scalar> WeightPack<S> {
         }
         self.check_gemv_batch(a, y)?;
         let out_dim = self.rows;
-        let wt = &self.wt;
         let pool = par.pool().expect("shards > 1 implies a pool");
         pool.scope(|scope| {
             let mut rest = y.data.as_mut_slice();
             for range in split_ranges(a.rows, shards) {
                 let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
                 rest = tail;
-                scope.execute(move || gemv_batch_span_packed(wt, a, range, chunk));
+                scope.execute(move || gemv_batch_span(&self.wt, self.row_abs_sum, a, range, chunk));
             }
         })
         .unwrap_or_else(|e| panic!("gemv_batch_par worker panicked: {e}"));
@@ -1368,13 +1425,12 @@ impl<S: Scalar> WeightPack<S> {
     ) -> Result<(), ShapeError> {
         self.check_gemv_batch(a, y)?;
         let out_dim = self.rows;
-        let wt = &self.wt;
         let shards = ks.shards(a.rows);
         let mut rest = y.data.as_mut_slice();
         for range in split_ranges(a.rows, shards) {
             let (chunk, tail) = rest.split_at_mut(range.len() * out_dim);
             rest = tail;
-            ks.submit(move || gemv_batch_span_packed(wt, a, range, chunk));
+            ks.submit(move || gemv_batch_span(&self.wt, self.row_abs_sum, a, range, chunk));
         }
         Ok(())
     }
@@ -1383,23 +1439,17 @@ impl<S: Scalar> WeightPack<S> {
     /// cached column panels — a register-resident panel of outputs per
     /// sample accumulates from unit-stride weight loads, with no
     /// per-step output-row load/store traffic, four samples per tile.
-    /// The per-element chain still ascends `i`, so the result is
-    /// bit-exact with the unpacked kernel, which streams `W` row-major
-    /// and scatter-accumulates through memory instead.
+    /// The result is bit-exact with the unpacked kernel, which streams
+    /// `W` row-major and scatter-accumulates through memory instead:
+    /// the wrapping MAC runs when the certificate (cached column sums ×
+    /// `max|E|`) holds, the ascending-`i` saturating chain otherwise.
     ///
     /// # Errors
     ///
     /// Same shape conditions as [`Matrix::gemv_t_batch`].
     pub fn gemv_t_batch(&self, e: &Matrix<S>, y: &mut Matrix<S>) -> Result<(), ShapeError> {
         self.check_gemv_t_batch(e, y)?;
-        gemv_t_batch_span_packed(
-            &self.w_panels,
-            self.rows,
-            self.cols,
-            e,
-            0..e.rows,
-            &mut y.data,
-        );
+        gemv_t_batch_span_packed(self, e, 0..e.rows, &mut y.data);
         Ok(())
     }
 
@@ -1426,17 +1476,13 @@ impl<S: Scalar> WeightPack<S> {
         }
         self.check_gemv_t_batch(e, y)?;
         let cols = self.cols;
-        let rows = self.rows;
-        let w_panels = self.w_panels.as_slice();
         let pool = par.pool().expect("shards > 1 implies a pool");
         pool.scope(|scope| {
             let mut rest = y.data.as_mut_slice();
             for range in split_ranges(e.rows, shards) {
                 let (chunk, tail) = rest.split_at_mut(range.len() * cols);
                 rest = tail;
-                scope.execute(move || {
-                    gemv_t_batch_span_packed(w_panels, rows, cols, e, range, chunk)
-                });
+                scope.execute(move || gemv_t_batch_span_packed(self, e, range, chunk));
             }
         })
         .unwrap_or_else(|err| panic!("gemv_t_batch_par worker panicked: {err}"));
@@ -1459,14 +1505,12 @@ impl<S: Scalar> WeightPack<S> {
     ) -> Result<(), ShapeError> {
         self.check_gemv_t_batch(e, y)?;
         let cols = self.cols;
-        let rows = self.rows;
-        let w_panels = self.w_panels.as_slice();
         let shards = ks.shards(e.rows);
         let mut rest = y.data.as_mut_slice();
         for range in split_ranges(e.rows, shards) {
             let (chunk, tail) = rest.split_at_mut(range.len() * cols);
             rest = tail;
-            ks.submit(move || gemv_t_batch_span_packed(w_panels, rows, cols, e, range, chunk));
+            ks.submit(move || gemv_t_batch_span_packed(self, e, range, chunk));
         }
         Ok(())
     }
@@ -1495,90 +1539,59 @@ impl<S: Scalar> IndexMut<(usize, usize)> for Matrix<S> {
 // per-element reduction chain of its sequential kernel; the sequential
 // kernels call their span with the full range, the `_par` kernels call
 // one span per pool worker over disjoint ranges. Sharing the loop nests
-// is what *guarantees* sequential ≡ parallel bit-for-bit.
+// is what *guarantees* sequential ≡ parallel bit-for-bit. The MVM and
+// gradient spans certify their own rows first and swap the chain for
+// the wrapping MAC only where the certificate proves the two equal, so
+// the guarantee holds whichever spans certify.
+
+/// The saturating chain step `acc + w * x`: the reference MAC every
+/// uncertified span runs.
+#[inline]
+fn chain_mac<S: Scalar>(acc: S, w: S, x: S) -> S {
+    acc + w * x
+}
+
+/// Certifies a span of `rows` (the span's input rows, flattened)
+/// against the weight bound `abs_sum` over a reduction of length `len`,
+/// and counts the decision.
+fn certify_span<S: Scalar>(abs_sum: u64, rows: &[S], len: usize) -> bool {
+    let certified = cert::no_saturation::<S>(0, abs_sum, cert::max_raw_magnitude(rows), len);
+    cert::record::<S>(certified);
+    certified
+}
 
 /// Forward-MVM span: output rows `batch` of `Y = A·Wᵀ` into `y_chunk`
 /// (`batch.len() * wt.cols` elements), reading the pre-transposed
-/// weights `wt` (`(in_dim, out_dim)` row-major). Ascending-`j` chains.
+/// weights `wt` (`(in_dim, out_dim)` row-major) whose source rows sum to
+/// at most `row_abs_sum`. Runs [`gemv_batch_tiles`] with the wrapping
+/// MAC when the span certifies, with the saturating chain otherwise.
+/// Both the unpacked and the packed forward kernels run this span.
 fn gemv_batch_span<S: Scalar>(
     wt: &Matrix<S>,
+    row_abs_sum: u64,
     a: &Matrix<S>,
     batch: Range<usize>,
     y_chunk: &mut [S],
 ) {
-    let cols = a.cols;
-    let out_dim = wt.cols;
-    for (local_b, b) in batch.enumerate() {
-        let a_row = &a.data[b * cols..(b + 1) * cols];
-        let y_row = &mut y_chunk[local_b * out_dim..(local_b + 1) * out_dim];
-        for v in y_row.iter_mut() {
-            *v = S::zero();
-        }
-        for (j, &xj) in a_row.iter().enumerate() {
-            let wt_row = &wt.data[j * out_dim..(j + 1) * out_dim];
-            for (yi, &w) in y_row.iter_mut().zip(wt_row) {
-                *yi += w * xj;
-            }
-        }
+    let rows = &a.data[batch.start * a.cols..batch.end * a.cols];
+    if certify_span(row_abs_sum, rows, a.cols) {
+        gemv_batch_tiles(wt, a, batch, y_chunk, S::wrapping_mac);
+    } else {
+        gemv_batch_tiles(wt, a, batch, y_chunk, chain_mac);
     }
 }
 
-/// Transposed-MVM span: output rows `batch` of `Y = E·W` into `y_chunk`.
-/// Four samples per pass (independent per-element chains, each still
-/// accumulating in ascending `i` — bit-exact with `gemv_t` per row),
-/// sharing every streamed weight row across the lanes.
-fn gemv_t_batch_span<S: Scalar>(
-    w: &Matrix<S>,
-    e: &Matrix<S>,
-    batch: Range<usize>,
-    y_chunk: &mut [S],
-) {
-    let cols = w.cols;
-    let start = batch.start;
-    for v in y_chunk.iter_mut() {
-        *v = S::zero();
-    }
-    let mut b = start;
-    while b + 4 <= batch.end {
-        let base = (b - start) * cols;
-        for i in 0..w.rows {
-            let w_row = &w.data[i * cols..(i + 1) * cols];
-            let e0 = e.data[b * e.cols + i];
-            let e1 = e.data[(b + 1) * e.cols + i];
-            let e2 = e.data[(b + 2) * e.cols + i];
-            let e3 = e.data[(b + 3) * e.cols + i];
-            for (j, &w) in w_row.iter().enumerate() {
-                y_chunk[base + j] += w * e0;
-                y_chunk[base + cols + j] += w * e1;
-                y_chunk[base + 2 * cols + j] += w * e2;
-                y_chunk[base + 3 * cols + j] += w * e3;
-            }
-        }
-        b += 4;
-    }
-    // Remainder rows: plain per-sample loop, same chain order.
-    for b in b..batch.end {
-        let e_row = &e.data[b * e.cols..(b + 1) * e.cols];
-        let y_row = &mut y_chunk[(b - start) * cols..(b - start + 1) * cols];
-        for (i, &ei) in e_row.iter().enumerate() {
-            let w_row = &w.data[i * cols..(i + 1) * cols];
-            for (yj, &w) in y_row.iter_mut().zip(w_row) {
-                *yj += w * ei;
-            }
-        }
-    }
-}
-
-/// Forward-MVM span over a cached pack: like [`gemv_batch_span`] but
-/// with two samples per register tile, so every streamed `Wᵀ` row is
-/// reused across the pair. Per-element chains still ascend `j` (the
-/// tile's two chains are independent), so the output is bit-exact with
-/// the unpacked span.
-fn gemv_batch_span_packed<S: Scalar>(
+/// Forward-MVM tiles over a transpose: for each input column `j`, the
+/// broadcast element multiplies the unit-stride row `j` of `Wᵀ` into the
+/// output row, two samples per register tile so every streamed `Wᵀ` row
+/// is reused across the pair. Per-element chains ascend `j` (the tile's
+/// two chains are independent).
+fn gemv_batch_tiles<S: Scalar>(
     wt: &Matrix<S>,
     a: &Matrix<S>,
     batch: Range<usize>,
     y_chunk: &mut [S],
+    mac: impl Fn(S, S, S) -> S + Copy,
 ) {
     let cols = a.cols;
     let out_dim = wt.cols;
@@ -1597,8 +1610,8 @@ fn gemv_batch_span_packed<S: Scalar>(
             let x0 = a0[j];
             let x1 = a1[j];
             for (i, &w) in wt_row.iter().enumerate() {
-                y0[i] += w * x0;
-                y1[i] += w * x1;
+                y0[i] = mac(y0[i], w, x0);
+                y1[i] = mac(y1[i], w, x1);
             }
         }
         b += 2;
@@ -1610,13 +1623,97 @@ fn gemv_batch_span_packed<S: Scalar>(
         for (j, &xj) in a_row.iter().enumerate() {
             let wt_row = &wt.data[j * out_dim..(j + 1) * out_dim];
             for (yi, &w) in y_row.iter_mut().zip(wt_row) {
-                *yi += w * xj;
+                *yi = mac(*yi, w, xj);
             }
         }
     }
 }
 
-/// Transposed-MVM span over the pack's zero-padded column panels.
+/// Transposed-MVM span: output rows `batch` of `Y = E·W` into `y_chunk`,
+/// where the columns of `w` sum to at most `col_abs_sum`. Runs
+/// [`gemv_t_batch_rows`] with the wrapping MAC when the span certifies,
+/// the ascending-`i` chain otherwise.
+fn gemv_t_batch_span<S: Scalar>(
+    w: &Matrix<S>,
+    col_abs_sum: u64,
+    e: &Matrix<S>,
+    batch: Range<usize>,
+    y_chunk: &mut [S],
+) {
+    let rows = &e.data[batch.start * e.cols..batch.end * e.cols];
+    if certify_span(col_abs_sum, rows, w.rows) {
+        gemv_t_batch_rows(w, e, batch, y_chunk, S::wrapping_mac);
+    } else {
+        gemv_t_batch_rows(w, e, batch, y_chunk, chain_mac);
+    }
+}
+
+/// Four samples per pass (independent per-element chains, each
+/// accumulating in ascending `i`), sharing every streamed weight row
+/// across the lanes.
+fn gemv_t_batch_rows<S: Scalar>(
+    w: &Matrix<S>,
+    e: &Matrix<S>,
+    batch: Range<usize>,
+    y_chunk: &mut [S],
+    mac: impl Fn(S, S, S) -> S + Copy,
+) {
+    let cols = w.cols;
+    let start = batch.start;
+    for v in y_chunk.iter_mut() {
+        *v = S::zero();
+    }
+    let mut b = start;
+    while b + 4 <= batch.end {
+        let base = (b - start) * cols;
+        for i in 0..w.rows {
+            let w_row = &w.data[i * cols..(i + 1) * cols];
+            let e0 = e.data[b * e.cols + i];
+            let e1 = e.data[(b + 1) * e.cols + i];
+            let e2 = e.data[(b + 2) * e.cols + i];
+            let e3 = e.data[(b + 3) * e.cols + i];
+            for (j, &w) in w_row.iter().enumerate() {
+                y_chunk[base + j] = mac(y_chunk[base + j], w, e0);
+                y_chunk[base + cols + j] = mac(y_chunk[base + cols + j], w, e1);
+                y_chunk[base + 2 * cols + j] = mac(y_chunk[base + 2 * cols + j], w, e2);
+                y_chunk[base + 3 * cols + j] = mac(y_chunk[base + 3 * cols + j], w, e3);
+            }
+        }
+        b += 4;
+    }
+    // Remainder rows: plain per-sample loop, same chain order.
+    for b in b..batch.end {
+        let e_row = &e.data[b * e.cols..(b + 1) * e.cols];
+        let y_row = &mut y_chunk[(b - start) * cols..(b - start + 1) * cols];
+        for (i, &ei) in e_row.iter().enumerate() {
+            let w_row = &w.data[i * cols..(i + 1) * cols];
+            for (yj, &w) in y_row.iter_mut().zip(w_row) {
+                *yj = mac(*yj, w, ei);
+            }
+        }
+    }
+}
+
+/// Transposed-MVM span over a cached pack: certifies the span's error
+/// rows against the pack's column-sum bound, then runs
+/// [`gemv_t_batch_panels`] with the wrapping MAC or the saturating
+/// chain (see [`gemv_batch_span`]).
+fn gemv_t_batch_span_packed<S: Scalar>(
+    pack: &WeightPack<S>,
+    e: &Matrix<S>,
+    batch: Range<usize>,
+    y_chunk: &mut [S],
+) {
+    let e_rows = &e.data[batch.start * e.cols..batch.end * e.cols];
+    let (panels, rows, cols) = (&pack.w_panels[..], pack.rows, pack.cols);
+    if certify_span(pack.col_abs_sum, e_rows, rows) {
+        gemv_t_batch_panels(panels, rows, cols, e, batch, y_chunk, S::wrapping_mac);
+    } else {
+        gemv_t_batch_panels(panels, rows, cols, e, batch, y_chunk, chain_mac);
+    }
+}
+
+/// Transposed-MVM tiles over the pack's zero-padded column panels.
 ///
 /// One width-[`GEMV_T_PANEL`] panel of output accumulators per sample
 /// stays register-resident while the matching weight panel streams past
@@ -1626,13 +1723,14 @@ fn gemv_batch_span_packed<S: Scalar>(
 /// streamed panel row. The padded lanes compute garbage that is sliced
 /// off at store time; the real lanes' chains still sum their products
 /// in ascending `i`, the exact chain of [`gemv_t_batch_span`].
-fn gemv_t_batch_span_packed<S: Scalar>(
+fn gemv_t_batch_panels<S: Scalar>(
     w_panels: &[S],
     in_dim: usize, // reduction dim (= source W rows)
     cols: usize,   // output dim per sample (= source W cols)
     e: &Matrix<S>,
     batch: Range<usize>,
     y_chunk: &mut [S],
+    mac: impl Fn(S, S, S) -> S + Copy,
 ) {
     const PW: usize = GEMV_T_PANEL;
     let panels = cols.div_ceil(PW);
@@ -1654,7 +1752,7 @@ fn gemv_t_batch_span_packed<S: Scalar>(
                 for (s, e_row) in e_rows.iter().enumerate() {
                     let ei = e_row[i];
                     for (t, &wt) in w.iter().enumerate() {
-                        acc[s][t] += wt * ei;
+                        acc[s][t] = mac(acc[s][t], wt, ei);
                     }
                 }
             }
@@ -1677,7 +1775,7 @@ fn gemv_t_batch_span_packed<S: Scalar>(
             for (i, &ei) in e_row.iter().enumerate() {
                 let w: &[S; PW] = panel[i * PW..i * PW + PW].try_into().unwrap();
                 for (t, &wt) in w.iter().enumerate() {
-                    acc[t] += wt * ei;
+                    acc[t] = mac(acc[t], wt, ei);
                 }
             }
             let j0 = p * PW;
@@ -1688,12 +1786,10 @@ fn gemv_t_batch_span_packed<S: Scalar>(
 }
 
 /// Gradient-accumulation span: rows `w_rows` of `W += Σ_b E[b] ⊗ A[b]`
-/// into `w_chunk`. The loop nest keeps each gradient row resident
-/// (weight-row outer, four samples per tile) instead of re-streaming
-/// the whole gradient matrix once per sample, but every element still
-/// accumulates its batch contributions **in ascending sample order** —
-/// the documented batch-reduction order (the four lanes of a tile
-/// apply to each element sequentially, `b`, `b+1`, `b+2`, `b+3`).
+/// into `w_chunk`. Each gradient row is certified on its own — its bound
+/// is `max|gᵢ| + Σ_b|e_bi|·max|a|` over a reduction of `batch` products —
+/// and runs [`add_outer_row`] with the wrapping MAC or the saturating
+/// chain; the span counts as certified when every row was.
 fn add_outer_batch_span<S: Scalar>(
     e: &Matrix<S>,
     a: &Matrix<S>,
@@ -1702,32 +1798,59 @@ fn add_outer_batch_span<S: Scalar>(
     w_chunk: &mut [S],
 ) {
     let batch = e.rows;
+    let a_max = cert::max_raw_magnitude(&a.data);
+    let mut all_certified = true;
     for (local_i, i) in w_rows.enumerate() {
         let w_row = &mut w_chunk[local_i * w_cols..(local_i + 1) * w_cols];
-        let mut b = 0;
-        while b + 4 <= batch {
-            let e0 = e.data[b * e.cols + i];
-            let e1 = e.data[(b + 1) * e.cols + i];
-            let e2 = e.data[(b + 2) * e.cols + i];
-            let e3 = e.data[(b + 3) * e.cols + i];
-            let a0 = &a.data[b * a.cols..(b + 1) * a.cols];
-            let a1 = &a.data[(b + 1) * a.cols..(b + 2) * a.cols];
-            let a2 = &a.data[(b + 2) * a.cols..(b + 3) * a.cols];
-            let a3 = &a.data[(b + 3) * a.cols..(b + 4) * a.cols];
-            for (j, w) in w_row.iter_mut().enumerate() {
-                *w += e0 * a0[j];
-                *w += e1 * a1[j];
-                *w += e2 * a2[j];
-                *w += e3 * a3[j];
-            }
-            b += 4;
+        let g_max = cert::max_raw_magnitude(w_row);
+        let e_sum = cert::raw_abs_sum((0..batch).map(|b| e.data[b * e.cols + i]));
+        if cert::no_saturation::<S>(g_max, e_sum, a_max, batch) {
+            add_outer_row(e, a, i, w_row, S::wrapping_mac);
+        } else {
+            all_certified = false;
+            add_outer_row(e, a, i, w_row, chain_mac);
         }
-        for b in b..batch {
-            let eb = e.data[b * e.cols + i];
-            let a_row = &a.data[b * a.cols..(b + 1) * a.cols];
-            for (w, &aj) in w_row.iter_mut().zip(a_row) {
-                *w += eb * aj;
-            }
+    }
+    cert::record::<S>(all_certified);
+}
+
+/// Row `i` of `W += Σ_b E[b] ⊗ A[b]`. The loop nest keeps the gradient
+/// row resident (four samples per tile) instead of re-streaming the
+/// whole gradient matrix once per sample, but every element still
+/// accumulates its batch contributions **in ascending sample order** —
+/// the documented batch-reduction order (the four lanes of a tile apply
+/// to each element sequentially, `b`, `b+1`, `b+2`, `b+3`).
+fn add_outer_row<S: Scalar>(
+    e: &Matrix<S>,
+    a: &Matrix<S>,
+    i: usize,
+    w_row: &mut [S],
+    mac: impl Fn(S, S, S) -> S + Copy,
+) {
+    let batch = e.rows;
+    let mut b = 0;
+    while b + 4 <= batch {
+        let e0 = e.data[b * e.cols + i];
+        let e1 = e.data[(b + 1) * e.cols + i];
+        let e2 = e.data[(b + 2) * e.cols + i];
+        let e3 = e.data[(b + 3) * e.cols + i];
+        let a0 = &a.data[b * a.cols..(b + 1) * a.cols];
+        let a1 = &a.data[(b + 1) * a.cols..(b + 2) * a.cols];
+        let a2 = &a.data[(b + 2) * a.cols..(b + 3) * a.cols];
+        let a3 = &a.data[(b + 3) * a.cols..(b + 4) * a.cols];
+        for (j, w) in w_row.iter_mut().enumerate() {
+            *w = mac(*w, e0, a0[j]);
+            *w = mac(*w, e1, a1[j]);
+            *w = mac(*w, e2, a2[j]);
+            *w = mac(*w, e3, a3[j]);
+        }
+        b += 4;
+    }
+    for b in b..batch {
+        let eb = e.data[b * e.cols + i];
+        let a_row = &a.data[b * a.cols..(b + 1) * a.cols];
+        for (w, &aj) in w_row.iter_mut().zip(a_row) {
+            *w = mac(*w, eb, aj);
         }
     }
 }

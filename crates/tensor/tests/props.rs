@@ -1,8 +1,9 @@
 //! Property-based tests for the tensor kernels.
 
-use fixar_fixed::{Fx32, Scalar};
-use fixar_tensor::{vector, Matrix};
+use fixar_fixed::{Fx32, Scalar, Q32};
+use fixar_tensor::{vector, Matrix, Parallelism};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn small_matrix() -> impl Strategy<Value = Matrix<f64>> {
     (1usize..8, 1usize..8).prop_flat_map(|(r, c)| {
@@ -274,4 +275,233 @@ proptest! {
         let rhs = vector::dot(&a, &ones_a) + vector::dot(&b, &ones_b);
         prop_assert!((lhs - rhs).abs() < 1e-9);
     }
+}
+
+// --- certified exact-MAC kernels vs the per-sample chain oracles --------
+//
+// `WeightPack::gemv_batch`, `WeightPack::gemv_t_batch` and
+// `Matrix::add_outer_batch` run a wrapping MAC loop whenever their
+// no-saturation certificate holds, and the saturating chain otherwise.
+// Either way every output must equal the per-sample `gemv` / `gemv_t` /
+// `add_outer` chain (which never takes the fast path), bit for bit, at
+// every worker count and through the fused-scope forms.
+
+const WORKERS: [usize; 3] = [1, 2, 8];
+
+/// Checks all three kernels — sequential, `_par` and `_par_in` at 1, 2
+/// and 8 workers — against their per-sample chain oracles. Returns the
+/// oracle outputs so callers can inspect them.
+fn kernels_match_chain_oracles<S: Scalar>(
+    w: &Matrix<S>,
+    a: &Matrix<S>,
+    e: &Matrix<S>,
+    g: &Matrix<S>,
+) -> Result<[Matrix<S>; 3], TestCaseError> {
+    let batch = a.rows();
+    let mut fwd = Matrix::zeros(batch, w.rows());
+    let mut bwd = Matrix::zeros(batch, w.cols());
+    for b in 0..batch {
+        w.gemv(a.row(b), fwd.row_mut(b)).unwrap();
+        w.gemv_t(e.row(b), bwd.row_mut(b)).unwrap();
+    }
+    let mut grad = g.clone();
+    for b in 0..batch {
+        grad.add_outer(e.row(b), a.row(b)).unwrap();
+    }
+
+    let pack = w.pack();
+    let mut y = Matrix::zeros(batch, w.rows());
+    pack.gemv_batch(a, &mut y).unwrap();
+    prop_assert_eq!(&y, &fwd);
+    let mut yt = Matrix::zeros(batch, w.cols());
+    pack.gemv_t_batch(e, &mut yt).unwrap();
+    prop_assert_eq!(&yt, &bwd);
+    let mut gb = g.clone();
+    gb.add_outer_batch(e, a).unwrap();
+    prop_assert_eq!(&gb, &grad);
+    for workers in WORKERS {
+        let par = Parallelism::with_workers(workers);
+        pack.gemv_batch_par(a, &mut y, &par).unwrap();
+        prop_assert_eq!(&y, &fwd);
+        pack.gemv_t_batch_par(e, &mut yt, &par).unwrap();
+        prop_assert_eq!(&yt, &bwd);
+        let mut gp = g.clone();
+        gp.add_outer_batch_par(e, a, &par).unwrap();
+        prop_assert_eq!(&gp, &grad);
+        let (mut yf, mut ytf, mut gf) = (Matrix::zeros(batch, w.rows()), yt.clone(), g.clone());
+        par.fused(|ks| -> Result<(), fixar_tensor::ShapeError> {
+            pack.gemv_batch_par_in(a, &mut yf, ks)?;
+            pack.gemv_t_batch_par_in(e, &mut ytf, ks)?;
+            gf.add_outer_batch_par_in(e, a, ks)
+        })
+        .unwrap()
+        .unwrap();
+        prop_assert_eq!(&yf, &fwd);
+        prop_assert_eq!(&ytf, &bwd);
+        prop_assert_eq!(&gf, &grad);
+    }
+    Ok([fwd, bwd, grad])
+}
+
+/// Raw-domain random operands for `Q32<F>`: weights in `±1.0`, inputs
+/// and errors scaled so `Σ|w|·max|x|` lands near `2^(31 + scale)` —
+/// negative `scale` certifies, positive `scale` is refused and often
+/// saturates the chain.
+fn random_case<const F: u32>(
+    (rows, cols, batch): (usize, usize, usize),
+    scale: i32,
+    u: &[f64],
+) -> [Matrix<Q32<F>>; 4] {
+    let mut it = u.iter().cycle();
+    let mut raw = |n: usize, mag: f64| -> Vec<Q32<F>> {
+        (0..n)
+            .map(|_| Q32::from_raw((it.next().unwrap() * mag) as i32))
+            .collect()
+    };
+    let reach = 2f64.powi(31 + scale);
+    let w = raw(rows * cols, (1u64 << F) as f64);
+    let a = raw(batch * cols, reach / cols as f64);
+    let e = raw(batch * rows, reach / rows as f64);
+    let g = raw(rows * cols, reach / 4.0);
+    [
+        Matrix::from_vec(rows, cols, w).unwrap(),
+        Matrix::from_vec(batch, cols, a).unwrap(),
+        Matrix::from_vec(batch, rows, e).unwrap(),
+        Matrix::from_vec(rows, cols, g).unwrap(),
+    ]
+}
+
+fn exact_mac_shape() -> impl Strategy<Value = (usize, usize, usize)> {
+    // Batch remainders 1–7 past the 4-sample tiles and 0–2 full tiles
+    // of 8; output widths that are mostly not multiples of the 16-lane
+    // panel.
+    (1usize..40, 1usize..40, 0usize..3, 0usize..8)
+        .prop_map(|(r, c, tiles, rem)| (r, c, (tiles * 8 + rem).max(1)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn exact_mac_kernels_equal_chain_oracles_q32(
+        shape in exact_mac_shape(),
+        scale in -8i32..4,
+        u in prop::collection::vec(-1.0..1.0f64, 97),
+    ) {
+        let [w, a, e, g] = random_case::<16>(shape, scale, &u);
+        kernels_match_chain_oracles(&w, &a, &e, &g)?;
+        let [w, a, e, g] = random_case::<20>(shape, scale, &u);
+        kernels_match_chain_oracles::<Fx32>(&w, &a, &e, &g)?;
+        let [w, a, e, g] = random_case::<28>(shape, scale, &u);
+        kernels_match_chain_oracles(&w, &a, &e, &g)?;
+    }
+
+    #[test]
+    fn exact_mac_boundary_cases_equal_chain_oracles(
+        shape in exact_mac_shape(),
+        negative in any::<bool>(),
+        u in prop::collection::vec(-1.0..1.0f64, 61),
+    ) {
+        for delta in [Boundary::Admitted, Boundary::Refused, Boundary::Saturating] {
+            boundary_case::<16>(shape, delta, negative, &u)?;
+            boundary_case::<20>(shape, delta, negative, &u)?;
+            boundary_case::<28>(shape, delta, negative, &u)?;
+        }
+    }
+}
+
+/// Where a boundary case's bound sits relative to the certificate.
+#[derive(Clone, Copy, PartialEq)]
+enum Boundary {
+    /// `bound = i32::MAX - 1`: the largest bound the certificate admits.
+    Admitted,
+    /// One raw unit past it: refused, and the chain does not saturate.
+    Refused,
+    /// Far past it: refused, and the chain really saturates.
+    Saturating,
+}
+
+/// Target magnitude `T` of a boundary case's adversarial output, whose
+/// certificate bound is `T + len + 2`.
+fn boundary_target(delta: Boundary, len: usize) -> i64 {
+    let admitted = i32::MAX as i64 - len as i64 - 3;
+    match delta {
+        Boundary::Admitted => admitted,
+        Boundary::Refused => admitted + 1,
+        Boundary::Saturating => i32::MAX as i64 + len as i64,
+    }
+}
+
+/// Splits `total` into `n` raw words of equal sign (each within `i32`).
+fn split_raw(total: i64, n: usize) -> Vec<i32> {
+    let q = total / n as i64;
+    let mut parts = vec![q; n];
+    parts[0] += total - q * n as i64;
+    parts.into_iter().map(|p| p as i32).collect()
+}
+
+/// Builds operands whose certificate bound sits exactly at `delta` for
+/// every kernel at once, then checks the kernels against the oracles
+/// and that the saturating cases really clamp.
+///
+/// * forward: row 0 of `W` sums to `±T` over the inputs, every input is
+///   `1.0` (so each product is exact and `Σ|w|·max|x| >> F = T`);
+/// * transposed: column 0 of `W` sums to `±T`, every error is `1.0`;
+/// * gradient: with `e = 1.0` and `a = A` everywhere, row 0 of `G`
+///   starts at `±(T − batch·A)`, so it ends at `±T`.
+///
+/// The rest of `W` is small random weights, which never raise the
+/// bound (it is the maximum row / column sum).
+fn boundary_case<const F: u32>(
+    (rows, cols, batch): (usize, usize, usize),
+    delta: Boundary,
+    negative: bool,
+    u: &[f64],
+) -> Result<(), TestCaseError> {
+    // A saturating target must split into words that fit in `i32`.
+    let (rows, cols, batch) = (rows.max(2), cols.max(2), batch.max(2));
+    let one = 1i32 << F;
+    let sign = if negative { -1 } else { 1 };
+    let mut small = u.iter().cycle().map(|v| (v * 64.0) as i32);
+    let mut w_raw: Vec<i32> = (0..rows * cols).map(|_| small.next().unwrap()).collect();
+    for (j, p) in split_raw(boundary_target(delta, cols), cols)
+        .into_iter()
+        .enumerate()
+    {
+        w_raw[j] = sign * p;
+    }
+    // Column 0 (rows 1..) carries the transposed target; W[0][0] is
+    // shared with row 0, so the column's remaining words make up the rest.
+    let col_target = boundary_target(delta, rows) - w_raw[0].unsigned_abs() as i64;
+    for (i, p) in split_raw(col_target, rows - 1).into_iter().enumerate() {
+        w_raw[(i + 1) * cols] = sign * p;
+    }
+    // Row 0 must keep the largest row sum and column 0 the largest
+    // column sum: the random words are at most 64 in magnitude.
+    let a_word = (boundary_target(Boundary::Admitted, batch) / (2 * batch as i64)) as i32;
+    let g_start = boundary_target(delta, batch) - batch as i64 * a_word as i64;
+    let mut g_raw = vec![0i32; rows * cols];
+    for v in &mut g_raw[..cols] {
+        *v = sign * g_start as i32;
+    }
+    let m = |r, c, raw: Vec<i32>| Matrix::from_vec(r, c, Q32::<F>::from_raw_words(&raw)).unwrap();
+    let w = m(rows, cols, w_raw);
+    let ones_a = m(batch, cols, vec![one; batch * cols]);
+    let ones_e = m(batch, rows, vec![one; batch * rows]);
+    let [fwd, bwd, _] =
+        kernels_match_chain_oracles(&w, &ones_a, &ones_e, &Matrix::zeros(rows, cols))?;
+    let a = m(batch, cols, vec![sign * a_word; batch * cols]);
+    let g = m(rows, cols, g_raw);
+    let [_, _, grad] = kernels_match_chain_oracles(&w, &a, &ones_e, &g)?;
+
+    let rail = if negative {
+        Q32::<F>::MIN
+    } else {
+        Q32::<F>::MAX
+    };
+    let clamped = delta == Boundary::Saturating;
+    prop_assert_eq!(fwd[(0, 0)] == rail, clamped);
+    prop_assert_eq!(bwd[(0, 0)] == rail, clamped);
+    prop_assert_eq!(grad[(0, 0)] == rail, clamped);
+    Ok(())
 }

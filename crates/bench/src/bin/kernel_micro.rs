@@ -331,8 +331,9 @@ fn quantizer_micro(reps: usize, records: &mut Vec<Record>) {
 ///
 /// Both arms share the weights and every input but one element: the
 /// refused arm plants a near-rail value (1800.0) in the first input row,
-/// the first error row and the first gradient row, which breaks the
-/// certificate so the span falls back to the saturating chain. Before
+/// the first error row and the first gradient row, which breaks every
+/// certificate (for the gradient, through `max|a|`, every row's) so the
+/// whole call runs the saturating chain. Before
 /// timing, each arm is gated bit-equal to the per-sample chain kernels
 /// (`gemv`, `gemv_t`, `add_outer`) and the certified/fallback counters
 /// must show the path the arm claims.
@@ -340,6 +341,7 @@ fn exact_mac_micro(reps: usize, records: &mut Vec<Record>) {
     const OUT: usize = 300;
     const IN: usize = 400;
     const B: usize = 64;
+    // A 300×400 call costs ~50× a base-shape one: a tenth of the reps.
     let reps = reps.div_ceil(10);
     println!("exact_mac_micro: {OUT}x{IN} weights, batch {B}, Fx32, {reps} reps");
 

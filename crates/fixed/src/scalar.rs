@@ -121,7 +121,8 @@ pub trait Scalar:
     /// Fractional bits of the format's exact-integer MAC, or `None` when
     /// it has none.
     ///
-    /// `Some(f)` promises that [`Scalar::wrapping_mac`] computes
+    /// `Some(f)` promises that the raw word is a 32-bit two's-complement
+    /// integer and that [`Scalar::wrapping_mac`] computes
     /// `acc + round(w·x / 2^f)` on the raw words, wrapping instead of
     /// saturating, with the same per-product rounding as `w * x`. The
     /// tensor kernels use it behind a no-saturation certificate built

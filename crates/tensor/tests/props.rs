@@ -279,7 +279,7 @@ proptest! {
 
 // --- certified exact-MAC kernels vs the per-sample chain oracles --------
 //
-// `WeightPack::gemv_batch`, `WeightPack::gemv_t_batch` and
+// The batched `gemv_batch` / `gemv_t_batch` (packed and unpacked) and
 // `Matrix::add_outer_batch` run a wrapping MAC loop whenever their
 // no-saturation certificate holds, and the saturating chain otherwise.
 // Either way every output must equal the per-sample `gemv` / `gemv_t` /
@@ -288,9 +288,9 @@ proptest! {
 
 const WORKERS: [usize; 3] = [1, 2, 8];
 
-/// Checks all three kernels — sequential, `_par` and `_par_in` at 1, 2
-/// and 8 workers — against their per-sample chain oracles. Returns the
-/// oracle outputs so callers can inspect them.
+/// Checks every certified kernel — packed and unpacked, sequential,
+/// `_par` and `_par_in` at 1, 2 and 8 workers — against its per-sample
+/// chain oracle. Returns the oracle outputs so callers can inspect them.
 fn kernels_match_chain_oracles<S: Scalar>(
     w: &Matrix<S>,
     a: &Matrix<S>,
@@ -319,6 +319,8 @@ fn kernels_match_chain_oracles<S: Scalar>(
     let mut gb = g.clone();
     gb.add_outer_batch(e, a).unwrap();
     prop_assert_eq!(&gb, &grad);
+    prop_assert_eq!(&w.gemv_batch_alloc(a).unwrap(), &fwd);
+    prop_assert_eq!(&w.gemv_t_batch_alloc(e).unwrap(), &bwd);
     for workers in WORKERS {
         let par = Parallelism::with_workers(workers);
         pack.gemv_batch_par(a, &mut y, &par).unwrap();
@@ -328,16 +330,30 @@ fn kernels_match_chain_oracles<S: Scalar>(
         let mut gp = g.clone();
         gp.add_outer_batch_par(e, a, &par).unwrap();
         prop_assert_eq!(&gp, &grad);
-        let (mut yf, mut ytf, mut gf) = (Matrix::zeros(batch, w.rows()), yt.clone(), g.clone());
+        prop_assert_eq!(&w.gemv_batch_par_alloc(a, &par).unwrap(), &fwd);
+        prop_assert_eq!(&w.gemv_t_batch_par_alloc(e, &par).unwrap(), &bwd);
+        let (mut yf, mut yu) = (
+            Matrix::zeros(batch, w.rows()),
+            Matrix::zeros(batch, w.rows()),
+        );
+        let (mut ytf, mut ytu) = (
+            Matrix::zeros(batch, w.cols()),
+            Matrix::zeros(batch, w.cols()),
+        );
+        let mut gf = g.clone();
         par.fused(|ks| -> Result<(), fixar_tensor::ShapeError> {
             pack.gemv_batch_par_in(a, &mut yf, ks)?;
             pack.gemv_t_batch_par_in(e, &mut ytf, ks)?;
+            w.gemv_batch_par_in(a, &mut yu, ks)?;
+            w.gemv_t_batch_par_in(e, &mut ytu, ks)?;
             gf.add_outer_batch_par_in(e, a, ks)
         })
         .unwrap()
         .unwrap();
         prop_assert_eq!(&yf, &fwd);
         prop_assert_eq!(&ytf, &bwd);
+        prop_assert_eq!(&yu, &fwd);
+        prop_assert_eq!(&ytu, &bwd);
         prop_assert_eq!(&gf, &grad);
     }
     Ok([fwd, bwd, grad])
@@ -372,9 +388,9 @@ fn random_case<const F: u32>(
 }
 
 fn exact_mac_shape() -> impl Strategy<Value = (usize, usize, usize)> {
-    // Batch remainders 1–7 past the 4-sample tiles and 0–2 full tiles
-    // of 8; output widths that are mostly not multiples of the 16-lane
-    // panel.
+    // Batches 1–23 hit every remainder 1–7 modulo 8, so every leftover
+    // past the 2- and 4-sample tiles; output widths 1–39 are mostly not
+    // multiples of the 16-lane panel.
     (1usize..40, 1usize..40, 0usize..3, 0usize..8)
         .prop_map(|(r, c, tiles, rem)| (r, c, (tiles * 8 + rem).max(1)))
 }

@@ -71,9 +71,39 @@ fn main() {
         "{}",
         render_table(&["accelerator", "IPS", "avg W", "IPS/W"], &rows)
     );
+    let mut rows = Vec::new();
+    for batch in paper::BATCH_SIZES {
+        let f_eff = PowerModel::ips_per_watt(
+            hc.accelerator_ips(batch, Precision::Half16),
+            paper::FPGA_POWER_W,
+        );
+        let g_eff = power.gpu_ips_per_watt(gpu.accelerator_ips(batch));
+        rows.push(vec![
+            batch.to_string(),
+            format!("{f_eff:.1}"),
+            format!("{g_eff:.1}"),
+            format!("{:.1}x", f_eff / g_eff),
+            format!(
+                "{:.1}%",
+                hc.accelerator_utilization(batch, Precision::Half16) * 100.0
+            ),
+        ]);
+    }
+    println!("Fig. 10b — HalfCheetah energy efficiency across batch sizes (IPS/W):");
+    println!(
+        "{}",
+        render_table(
+            &["batch", "FIXAR IPS/W", "GPU IPS/W", "gap", "PE util"],
+            &rows
+        )
+    );
     println!(
         "{}",
         verdict("FIXAR accelerator IPS", f512, paper::ACCEL_IPS)
+    );
+    println!(
+        "{}",
+        verdict("accelerator gap @512", f512 / g512, paper::ACCEL_SPEEDUP)
     );
     println!(
         "{}",

@@ -56,6 +56,14 @@ fn main() {
             paper::PLATFORM_IPS
         )
     );
+    println!(
+        "{}",
+        verdict(
+            "platform speedup @512",
+            hc.ips(512, Precision::Half16).unwrap() / gpu.ips(512),
+            paper::PLATFORM_SPEEDUP
+        )
+    );
 
     // Co-simulated measurement: real training advancing the platform
     // clock, QAT switching precision mid-run.

@@ -18,7 +18,17 @@
 //!   300×400 layer and batch 64, on inputs whose no-saturation
 //!   certificate holds (wrapping MAC loop) against near-saturation
 //!   inputs it refuses (saturating chain) — both bit-equality gated
-//!   against the per-sample chain kernels before timing.
+//!   against the per-sample chain kernels before timing;
+//! * `pack_micro`: re-packing a 300×400 layer — the full pack (transpose
+//!   plus the `gemv_t_batch` panels its first backward call gathers), the
+//!   forward-only pack a target network or `act` builds, and the blocked
+//!   transpose alone (and a strided copy for reference) — in ns per
+//!   weight element, gated on the strided transpose definition and on
+//!   the unpacked `gemv_t_batch`;
+//! * `adam_micro`: one `Fx32` Adam step over a 17-400-300-6 actor
+//!   (129,306 parameters) through `fixar_nn::Adam`, against the same
+//!   step with the integer-only Newton square root and `i64` division,
+//!   in ns per parameter, gated bit-equal over several steps first.
 //!
 //! Environment:
 //!
@@ -30,6 +40,7 @@
 
 use fixar_deploy::{ActKind, PolicyArtifact};
 use fixar_fixed::{AffineQuantizer, Fx32, QFormat};
+use fixar_nn::{Adam, AdamConfig, Mlp, MlpGrads};
 use fixar_tensor::{exact_mac_stats, Matrix, Parallelism};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -223,6 +234,8 @@ fn main() {
 
     quantizer_micro(reps, &mut records);
     exact_mac_micro(reps, &mut records);
+    pack_micro(reps, &mut records);
+    adam_micro(reps, &mut records);
 
     if let Ok(path) = std::env::var("FIXAR_BENCH_JSON") {
         let mut json = String::from("{\n");
@@ -411,4 +424,189 @@ fn exact_mac_micro(reps: usize, records: &mut Vec<Record>) {
         });
         push(records, format!("exact_mac add_outer_batch {arm}"), ns);
     }
+}
+
+/// Re-pack cost of the paper's 300×400 layer, per weight element.
+///
+/// `pack full` is what a trained network pays per re-pack (the panels
+/// follow on its first backward call); `pack forward-only` is what a
+/// forward-only network pays; `pack transpose` is the blocked transpose
+/// inside both, and `transpose strided` an element-by-element copy for
+/// reference. A zero-row `gemv_t_batch` call forces the panels without
+/// any MAC work.
+fn pack_micro(reps: usize, records: &mut Vec<Record>) {
+    const OUT: usize = 300;
+    const IN: usize = 400;
+    const N: usize = OUT * IN;
+    let reps = reps.div_ceil(10);
+    println!("pack_micro: {OUT}x{IN} Fx32 weights, {reps} reps, ns per weight element");
+    let w = Matrix::<f64>::from_fn(OUT, IN, |r, c| {
+        ((r * 7 + c * 3) % 29) as f64 * 0.004 - 0.056
+    })
+    .cast::<Fx32>();
+    let e = Matrix::<f64>::from_fn(64, OUT, |b, c| ((b * 3 + c) % 7) as f64 * 0.05 - 0.15)
+        .cast::<Fx32>();
+    let none = Matrix::<Fx32>::zeros(0, OUT);
+    let mut none_out = Matrix::<Fx32>::zeros(0, IN);
+
+    assert_eq!(
+        w.transposed(),
+        Matrix::from_fn(IN, OUT, |r, c| w[(c, r)]),
+        "blocked transpose diverged from the strided definition"
+    );
+    let pack = w.pack();
+    let mut y = Matrix::<Fx32>::zeros(64, IN);
+    pack.gemv_t_batch(&e, &mut y).unwrap();
+    assert_eq!(
+        y,
+        w.gemv_t_batch_alloc(&e).unwrap(),
+        "lazily panelled gemv_t_batch diverged from the unpacked kernel"
+    );
+    assert_eq!(pack, w.pack(), "pack equality depends on the panels");
+
+    let ns = time_ns_per_sample(reps, N, || {
+        let p = w.pack();
+        p.gemv_t_batch(&none, &mut none_out).unwrap();
+        std::hint::black_box(&p);
+    });
+    push(records, "pack full 300x400".into(), ns);
+    let ns = time_ns_per_sample(reps, N, || {
+        std::hint::black_box(w.pack());
+    });
+    push(records, "pack forward-only 300x400".into(), ns);
+    let ns = time_ns_per_sample(reps, N, || {
+        std::hint::black_box(w.transposed());
+    });
+    push(records, "pack transpose 300x400".into(), ns);
+    let ns = time_ns_per_sample(reps, N, || {
+        std::hint::black_box(Matrix::from_fn(IN, OUT, |r, c| w[(c, r)]));
+    });
+    push(records, "transpose strided 300x400".into(), ns);
+}
+
+/// The integer-only square root `⌊√(raw · 2^20)⌋` by Newton's method —
+/// the reference the fast `Fx32::sqrt` must equal.
+fn oracle_sqrt(x: Fx32) -> Fx32 {
+    if x.raw() <= 0 {
+        return Fx32::ZERO;
+    }
+    let v = (x.raw() as u64) << Fx32::FRAC_BITS;
+    let mut r = 1u64 << (64 - v.leading_zeros()).div_ceil(2);
+    loop {
+        let next = (r + v / r) >> 1;
+        if next >= r {
+            return Fx32::from_raw(r.min(i32::MAX as u64) as i32);
+        }
+        r = next;
+    }
+}
+
+/// `clamp((a << 20) / b)` by `i64` division — the reference the fast
+/// `Fx32::saturating_div` must equal.
+fn oracle_div(a: Fx32, b: Fx32) -> Fx32 {
+    if b.raw() == 0 {
+        return if a.raw() < 0 { Fx32::MIN } else { Fx32::MAX };
+    }
+    let q = ((a.raw() as i64) << Fx32::FRAC_BITS) / b.raw() as i64;
+    Fx32::from_raw(q.clamp(i32::MIN as i64, i32::MAX as i64) as i32)
+}
+
+/// The elementwise Adam step of `fixar_nn::Adam` with the oracle square
+/// root and division, over flat parameter / moment vectors.
+struct OracleAdam {
+    m: Vec<Fx32>,
+    v: Vec<Fx32>,
+    t: i32,
+}
+
+impl OracleAdam {
+    fn step(&mut self, cfg: &AdamConfig, params: &mut [Fx32], grads: &[Fx32]) {
+        self.t += 1;
+        let bias_corr = (1.0 - cfg.beta2.powi(self.t)).sqrt() / (1.0 - cfg.beta1.powi(self.t));
+        let f = Fx32::from_f64;
+        let (b1, omb1) = (f(cfg.beta1), f(1.0 - cfg.beta1));
+        let (b2, omb2) = (f(cfg.beta2), f(1.0 - cfg.beta2));
+        let (lr_t, eps) = (f(cfg.lr * bias_corr), f(cfg.eps));
+        for (i, (p, &g)) in params.iter_mut().zip(grads).enumerate() {
+            self.m[i] = b1 * self.m[i] + omb1 * g;
+            self.v[i] = b2 * self.v[i] + omb2 * (g * g);
+            let denom = oracle_sqrt(self.v[i]) + eps;
+            *p -= lr_t * oracle_div(self.m[i], denom);
+        }
+    }
+}
+
+/// Every parameter of `mlp`, layer by layer (weights, then biases) —
+/// the order `Adam::step` walks them in.
+fn flat_params(mlp: &Mlp<Fx32>) -> Vec<Fx32> {
+    (0..mlp.num_layers())
+        .flat_map(|l| {
+            mlp.weight(l)
+                .as_slice()
+                .iter()
+                .chain(mlp.bias(l))
+                .copied()
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// One `Fx32` Adam step over a paper-scale actor: `fixar_nn::Adam` (the
+/// fast exact square root and division) against [`OracleAdam`], per
+/// parameter. Gated bit-equal over four steps before timing.
+fn adam_micro(reps: usize, records: &mut Vec<Record>) {
+    let reps = reps.div_ceil(10);
+    let (mut mlp, _) = fixar_bench::paper_networks();
+    let n = mlp.param_count();
+    println!("adam_micro: {n} Fx32 parameters, {reps} reps, ns per parameter");
+    let mut grads = MlpGrads::zeros_like(&mlp);
+    let mut k = 0usize;
+    for (w, b) in grads.w.iter_mut().zip(grads.b.iter_mut()) {
+        for g in w.as_mut_slice().iter_mut().chain(b.iter_mut()) {
+            // Gradients in ±0.3, exact zeros included: large enough that
+            // the second moments leave zero, so both the square root and
+            // the division do real work.
+            *g = Fx32::from_f64(((k * 7919) % 61) as f64 * 1e-2 - 0.3);
+            k += 1;
+        }
+    }
+    let flat_grads: Vec<Fx32> = grads
+        .w
+        .iter()
+        .zip(&grads.b)
+        .flat_map(|(w, b)| w.as_slice().iter().chain(b).copied().collect::<Vec<_>>())
+        .collect();
+    let adam_cfg = AdamConfig {
+        lr: 1e-3,
+        ..AdamConfig::default()
+    };
+    let mut opt = Adam::new(&mlp, adam_cfg);
+    let mut oracle = OracleAdam {
+        m: vec![Fx32::ZERO; n],
+        v: vec![Fx32::ZERO; n],
+        t: 0,
+    };
+    let mut params = flat_params(&mlp);
+    let initial = params.clone();
+    for step in 0..4 {
+        opt.step(&mut mlp, &grads).unwrap();
+        oracle.step(&adam_cfg, &mut params, &flat_grads);
+        assert!(
+            flat_params(&mlp) == params,
+            "adam_micro: fast Adam step {step} diverged from the oracle"
+        );
+    }
+    assert!(
+        params != initial,
+        "adam_micro: the gated steps changed nothing"
+    );
+
+    let ns = time_ns_per_sample(reps, n, || {
+        opt.step(&mut mlp, std::hint::black_box(&grads)).unwrap();
+    });
+    push(records, "adam fast 130k".into(), ns);
+    let ns = time_ns_per_sample(reps, n, || {
+        oracle.step(&adam_cfg, &mut params, std::hint::black_box(&flat_grads));
+    });
+    push(records, "adam oracle 130k".into(), ns);
 }

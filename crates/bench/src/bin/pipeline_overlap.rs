@@ -81,13 +81,13 @@ fn time_twin_step(
                         mlp: c1,
                         trace: &traces[0],
                         dl_dout: dl,
-                        grads: &mut g1,
+                        grads: Some(&mut g1),
                     },
                     FusedBackward {
                         mlp: c2,
                         trace: &traces[1],
                         dl_dout: dl,
-                        grads: &mut g2,
+                        grads: Some(&mut g2),
                     },
                 ],
                 par,

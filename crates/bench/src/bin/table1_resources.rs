@@ -71,15 +71,21 @@ fn main() {
         };
         let m = ResourceModel::new(cfg);
         let t = m.total();
+        let (lut, _, _, _, dsp) = m.utilization(&U50_BUDGET);
         rows.push(vec![
             format!("{cores} cores / {lanes} adam lanes"),
             fmt_k(t.lut),
+            format!("{:.1}%", lut * 100.0),
             format!("{:.0}", t.dsp),
+            format!("{:.1}%", dsp * 100.0),
             if m.fits(&U50_BUDGET) { "yes" } else { "NO" }.to_string(),
         ]);
     }
     println!(
         "{}",
-        render_table(&["design", "LUT", "DSP", "fits U50"], &rows)
+        render_table(
+            &["design", "LUT", "LUT util", "DSP", "DSP util", "fits U50"],
+            &rows
+        )
     );
 }

@@ -1,11 +1,11 @@
 //! Shared helpers for the FIXAR benchmark harnesses.
 //!
-//! Each paper artifact (Figs. 7–10, Tables I–II) has both a criterion
-//! bench (`benches/`) that prints the regenerated rows and measures the
-//! relevant kernel, and a standalone binary (`src/bin/`) for longer,
-//! configurable runs. This library holds the pieces they share: an ASCII
-//! table renderer, the paper's reference numbers, and the scaled-down
-//! precision-study runner.
+//! Each paper artifact (Figs. 7–10, Tables I–II) has a standalone binary
+//! (`src/bin/`) that prints the regenerated rows, configurable for longer
+//! runs; the criterion benches (`benches/`) measure kernels, ablations
+//! and the batched-training speedup. This library holds the pieces they
+//! share: an ASCII table renderer, the paper's reference numbers, and
+//! the scaled-down precision-study configuration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -172,17 +172,6 @@ pub fn quick_study_config() -> DdpgConfig {
     // wall-clock of the software fixed-point arms.
     cfg.parallel_workers = 2;
     cfg
-}
-
-/// Runs the four-arm precision study on Pendulum at reduced scale.
-///
-/// # Panics
-///
-/// Panics if any arm fails to run (benchmark harness context).
-pub fn quick_precision_study(total_steps: u64, eval_every: u64) -> Vec<FixarRunReport> {
-    let cfg = quick_study_config().with_qat(total_steps / 3, 16);
-    fixar::precision_study(EnvKind::Pendulum, cfg, total_steps, eval_every, 3)
-        .expect("precision study should run")
 }
 
 /// Formats a reward curve as aligned `step:reward` pairs.

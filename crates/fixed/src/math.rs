@@ -3,8 +3,14 @@
 //! These mirror how an FPGA activation unit evaluates nonlinear functions:
 //! the lookup tables below are the ROM contents (computed offline in full
 //! precision, stored here as Q2.30 integer constants) and everything at
-//! runtime — indexing, interpolation, Newton iterations — is integer
-//! arithmetic.
+//! runtime — indexing, interpolation, shifts — is integer arithmetic.
+//!
+//! The two exceptions are crate-private and serve only the training-side
+//! scalar types: the square root and the division behind `Q32::sqrt` and
+//! `Q32::saturating_div`. Up to 2^52 their operands are exact in `f64`,
+//! so an `f64` estimate plus one exact integer correction yields the
+//! same integer as the integer-only algorithm, faster; above that they
+//! run the integer algorithm. Nothing public here touches a float.
 //!
 //! The module is public so that integer-only consumers (most notably the
 //! `fixar-deploy` artifact interpreter, which must evaluate a frozen
@@ -126,9 +132,56 @@ pub(crate) fn exp_raw(raw: i64, frac: u32) -> i64 {
     }
 }
 
-/// Integer square root of a `u64`, by Newton's method seeded from the bit
-/// length (integer-only; converges in a handful of iterations).
+/// Largest magnitude up to which every integer operand of the `f64`
+/// paths of [`isqrt_u64`] and [`div_raw`] is exact in `f64` (53-bit
+/// mantissa), with a bit to spare for [`round_f64`].
+const F64_EXACT: u64 = 1 << 52;
+
+/// Largest shift for which every `i32` raw value shifted left by it stays
+/// within [`F64_EXACT`] in magnitude (`2^31 · 2^21 = 2^52`). Formats with
+/// at most this many fractional bits take the `f64` paths unconditionally
+/// — a check the compiler folds away for a constant `frac`, which leaves
+/// the paths branch-free so loops over them (the Adam update) vectorize.
+const F64_EXACT_FRAC: u32 = 21;
+
+/// Rounds `x ∈ [0, 2^52]` to the nearest integer: adding 2^52 leaves the
+/// sum in `[2^52, 2^53]`, where the `f64` spacing is 1, so the sum is
+/// rounded to nearest and its bit pattern minus that of 2^52 is the
+/// integer. Unlike an `as` cast this needs no saturation checks.
+#[inline]
+fn round_f64(x: f64) -> i64 {
+    const BIAS: f64 = F64_EXACT as f64;
+    (x + BIAS).to_bits().wrapping_sub(BIAS.to_bits()) as i64
+}
+
+/// Integer square root `⌊√v⌋` of a `u64`: [`isqrt_f64`] up to 2^52,
+/// [`isqrt_newton`] above. Both return the same integer.
+#[inline]
 pub(crate) fn isqrt_u64(v: u64) -> u64 {
+    if v <= F64_EXACT {
+        isqrt_f64(v as i64) as u64
+    } else {
+        isqrt_newton(v)
+    }
+}
+
+/// `⌊√v⌋` for `0 ≤ v ≤ 2^52`.
+///
+/// Let `k = ⌊√v⌋`, so `k ≤ √v < k + 1`. `v` is exact in `f64`, and a
+/// correctly rounded operation never crosses a representable value, so
+/// `k ≤ fl(√v) ≤ k + 1` and, rounding once more, `r ∈ {k, k + 1}`. One
+/// exact integer comparison picks between them.
+#[inline]
+fn isqrt_f64(v: i64) -> i64 {
+    let r = round_f64((v as f64).sqrt());
+    // r ≤ 2^26, so r² cannot overflow.
+    r - (r * r > v) as i64
+}
+
+/// Integer square root by Newton's method seeded from the bit length
+/// (integer-only; converges in a handful of iterations). Exact over all
+/// of `u64`.
+pub(crate) fn isqrt_newton(v: u64) -> u64 {
     if v == 0 {
         return 0;
     }
@@ -143,15 +196,55 @@ pub(crate) fn isqrt_u64(v: u64) -> u64 {
     }
 }
 
-/// Fixed-point square root: `sqrt(raw / 2^frac) * 2^frac` for `raw >= 0`.
+/// `(raw << frac) / d` truncated toward zero, for `i32` values `raw` and
+/// `d != 0` — the same integer as Rust's `i64` division.
+///
+/// When the numerator is at most 2^52 in magnitude (always, for
+/// `frac ≤ 21`) [`div_f64`] computes it; larger numerators run the `i64`
+/// divide.
+#[inline]
+pub(crate) fn div_raw(raw: i64, d: i64, frac: u32) -> i64 {
+    let n = raw << frac;
+    if frac <= F64_EXACT_FRAC || n.unsigned_abs() <= F64_EXACT {
+        div_f64(n, d)
+    } else {
+        n / d
+    }
+}
+
+/// `n / d` truncated toward zero, for `|n| ≤ 2^52` and an `i32` `d != 0`.
+///
+/// Let `k = ⌊|n|/|d|⌋`, so `k ≤ |n|/|d| < k + 1`. Both magnitudes are
+/// exact in `f64`, and correctly rounded operations never cross the
+/// representable `k` and `k + 1`, so the estimate `q` is `k` or `k + 1`;
+/// a negative exact remainder `|n| − q·|d|` marks `k + 1`. The body is
+/// branch-free.
+#[inline]
+fn div_f64(n: i64, d: i64) -> i64 {
+    let (nu, du) = (n.abs(), d.abs());
+    let q = round_f64(nu as f64 / du as f64);
+    // q ≤ k + 1, so q·|d| ≤ |n| + |d| < 2^63.
+    let q = q - (nu - q * du < 0) as i64;
+    if (n ^ d) < 0 {
+        -q
+    } else {
+        q
+    }
+}
+
+/// Fixed-point square root: `sqrt(raw / 2^frac) * 2^frac` for an `i32`
+/// `raw`; negative inputs give 0.
 ///
 /// `sqrt(v)` in format Qf is `isqrt(raw << frac)` because
 /// `sqrt(raw/2^f)·2^f = sqrt(raw·2^f)`.
+#[inline]
 pub(crate) fn sqrt_raw(raw: i64, frac: u32) -> i64 {
-    if raw <= 0 {
-        return 0;
+    let v = raw.max(0) << frac;
+    if frac <= F64_EXACT_FRAC {
+        isqrt_f64(v)
+    } else {
+        isqrt_u64(v as u64) as i64
     }
-    isqrt_u64((raw as u64) << frac) as i64
 }
 
 #[cfg(test)]
@@ -204,6 +297,158 @@ mod tests {
     #[test]
     fn exp_overflow_saturates() {
         assert_eq!(exp_raw(1000 << 20, 20), i64::MAX);
+    }
+
+    /// Today's `i64` division, the oracle of [`div_raw`] and [`div_f64`].
+    fn div_oracle(n: i64, d: i64) -> i64 {
+        n / d
+    }
+
+    #[test]
+    fn isqrt_matches_newton_at_the_edges() {
+        let mut cases = vec![
+            0u64,
+            1,
+            2,
+            3,
+            4,
+            u64::MAX,
+            F64_EXACT - 1,
+            F64_EXACT,
+            F64_EXACT + 1,
+        ];
+        // Perfect squares and their neighbours on both sides of 2^52,
+        // where the f64 estimate is most likely to round up to k.
+        for k in [
+            2u64,
+            3,
+            1 << 13,
+            (1 << 26) - 3,
+            (1 << 26) - 1,
+            1 << 26,
+            (1 << 26) + 1,
+            1 << 31,
+            (1 << 32) - 1,
+        ] {
+            let sq = k * k;
+            cases.extend([sq - 1, sq, sq + 1]);
+        }
+        for v in cases {
+            assert_eq!(isqrt_u64(v), isqrt_newton(v), "v={v}");
+        }
+    }
+
+    #[test]
+    fn isqrt_matches_newton_on_a_dense_sweep() {
+        for v in 0u64..200_000 {
+            assert_eq!(isqrt_u64(v), isqrt_newton(v), "v={v}");
+        }
+        // Raw Q12.20 second moments: v = raw << 20 across the i32 range.
+        for raw in (0..=i32::MAX as u64).step_by(65_537) {
+            let v = raw << 20;
+            assert_eq!(isqrt_u64(v), isqrt_newton(v), "raw={raw}");
+        }
+    }
+
+    #[test]
+    fn div_f64_matches_i64_division_at_the_edges() {
+        let big = F64_EXACT as i64;
+        let nums = [
+            0,
+            1,
+            -1,
+            7,
+            -7,
+            (i32::MAX as i64) << 20,
+            (i32::MIN as i64) << 20,
+            (i32::MAX as i64) << 21,
+            (i32::MIN as i64) << 21,
+            big - 1,
+            -(big - 1),
+            big,
+            -big,
+        ];
+        let dens = [
+            1,
+            -1,
+            2,
+            -2,
+            3,
+            -3,
+            7,
+            i32::MAX as i64,
+            i32::MIN as i64,
+            1 << 20,
+            -(1 << 20) + 1,
+        ];
+        for &n in &nums {
+            for &d in &dens {
+                assert_eq!(div_f64(n, d), div_oracle(n, d), "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn div_raw_matches_i64_division_on_both_sides_of_2_52() {
+        let raws = [
+            0,
+            1,
+            -1,
+            i32::MAX,
+            i32::MIN,
+            i32::MAX - 1,
+            i32::MIN + 1,
+            1 << 24,
+            -(1 << 24) - 1,
+        ];
+        let dens = [1, -1, 2, -3, i32::MAX, i32::MIN, 105, -(1 << 20)];
+        // frac ≤ 21 always takes the f64 path; 28 and 30 put large
+        // numerators past 2^52 onto the i64 divide.
+        for frac in [0, 16, 20, 21, 22, 28, 30] {
+            for &raw in &raws {
+                for &d in &dens {
+                    let (raw, d) = (raw as i64, d as i64);
+                    assert_eq!(
+                        div_raw(raw, d, frac),
+                        div_oracle(raw << frac, d),
+                        "({raw} << {frac}) / {d}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn div_f64_matches_i64_division_near_integer_quotients() {
+        // Numerators one below, at and one above a multiple of the
+        // divisor: where a rounded f64 quotient can cross an integer.
+        for d in [3i64, 7, 1000, 999_983, (1 << 31) - 1] {
+            for q in [1i64, 12_345, (1 << 52) / d - 1] {
+                for n in [q * d - 1, q * d, q * d + 1] {
+                    assert_eq!(div_f64(n, d), div_oracle(n, d), "{n} / {d}");
+                    assert_eq!(div_f64(-n, d), div_oracle(-n, d), "-{n} / {d}");
+                    assert_eq!(div_f64(n, -d), div_oracle(n, -d), "{n} / -{d}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn isqrt_matches_newton(v in proptest::prelude::any::<u64>(), shift in 0u32..64) {
+            let v = v >> shift;
+            proptest::prop_assert_eq!(isqrt_u64(v), isqrt_newton(v));
+        }
+
+        #[test]
+        fn div_raw_matches_i64_division(
+            raw in proptest::prelude::any::<i32>(),
+            d in proptest::prelude::any::<i32>(),
+            frac in 0u32..31,
+        ) {
+            let (raw, d) = (raw as i64, if d == 0 { 1 } else { d as i64 });
+            proptest::prop_assert_eq!(div_raw(raw, d, frac), div_oracle(raw << frac, d));
+        }
     }
 
     #[test]

@@ -167,13 +167,19 @@ impl<const F: u32> Q32<F> {
     /// Division by zero saturates to [`Q32::MAX`] or [`Q32::MIN`] according
     /// to the sign of the dividend (`0/0` yields `MAX`), matching a
     /// hardware divider's overflow flag rather than panicking.
+    ///
+    /// The result is exactly `clamp((self << F) / rhs)` in `i64`
+    /// arithmetic. While the widened numerator is at most 2^52 in
+    /// magnitude (always, for `F ≤ 21`) it is computed from an `f64`
+    /// quotient of the exact operands, which is the true quotient or one
+    /// above it, fixed up by an exact integer remainder check; larger
+    /// numerators use the `i64` divide.
     #[inline]
     pub fn saturating_div(self, rhs: Self) -> Self {
         if rhs.0 == 0 {
             return if self.0 < 0 { Self::MIN } else { Self::MAX };
         }
-        let num = (self.0 as i64) << F;
-        Self(clamp_i64(num / rhs.0 as i64))
+        Self(clamp_i64(math::div_raw(self.0 as i64, rhs.0 as i64, F)))
     }
 
     /// Absolute value (saturating: `|MIN|` is `MAX`).
@@ -184,7 +190,12 @@ impl<const F: u32> Q32<F> {
 
     /// Square root over the non-negative range; negative inputs clamp to 0.
     ///
-    /// Computed by integer-only Newton iteration.
+    /// The result is the exact integer root `⌊√(raw · 2^F)⌋` in raw
+    /// units. While `raw · 2^F` is at most 2^52 (always, for `F ≤ 21`) it
+    /// comes from the correctly rounded `f64` root of that exact integer,
+    /// which is the integer root or one above it, fixed up by one exact
+    /// integer comparison; larger operands run an integer-only Newton
+    /// iteration.
     #[inline]
     pub fn sqrt(self) -> Self {
         Self(clamp_i64(math::sqrt_raw(self.0 as i64, F)))
@@ -417,6 +428,82 @@ mod tests {
             Q::MAX.wrapping_mac(Q::ONE, Q::ONE).raw(),
             i32::MIN + (1 << 20) - 1
         );
+    }
+
+    /// Today's integer-only Newton square root and `i64` division, the
+    /// oracles of the fast `sqrt` / `saturating_div` in every format.
+    fn oracle_sqrt<const G: u32>(x: Q32<G>) -> Q32<G> {
+        let v = (x.0.max(0) as u64) << G;
+        Q32(clamp_i64(math::isqrt_newton(v) as i64))
+    }
+
+    fn oracle_div<const G: u32>(a: Q32<G>, b: Q32<G>) -> Q32<G> {
+        if b.0 == 0 {
+            return if a.0 < 0 { Q32::MIN } else { Q32::MAX };
+        }
+        Q32(clamp_i64(((a.0 as i64) << G) / b.0 as i64))
+    }
+
+    fn check_against_oracles<const G: u32>(a: i32, b: i32) {
+        let (x, y) = (Q32::<G>::from_raw(a), Q32::<G>::from_raw(b));
+        assert_eq!(x.sqrt(), oracle_sqrt(x), "sqrt({a}) in Q32<{G}>");
+        assert_eq!(
+            x.saturating_div(y),
+            oracle_div(x, y),
+            "{a} / {b} in Q32<{G}>"
+        );
+    }
+
+    #[test]
+    fn sqrt_and_div_match_the_integer_oracles_at_the_edges() {
+        let raws = [
+            0,
+            1,
+            -1,
+            2,
+            3,
+            4,
+            i32::MAX,
+            i32::MIN,
+            i32::MAX - 1,
+            i32::MIN + 1,
+            1 << 20,
+            (1 << 20) + 1,
+            (1 << 20) - 1,
+            1 << 24,
+            (1 << 24) - 1,
+            1 << 30,
+            46_340 * 46_340,
+            46_340 * 46_340 - 1,
+            46_340 * 46_341,
+        ];
+        for &a in &raws {
+            for &b in &raws {
+                check_against_oracles::<16>(a, b);
+                check_against_oracles::<20>(a, b);
+                check_against_oracles::<21>(a, b);
+                // 31 + 28 > 52: large numerators take the fallback path.
+                check_against_oracles::<28>(a, b);
+                check_against_oracles::<30>(a, b);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sqrt_and_div_match_the_integer_oracles(
+            a in proptest::prelude::any::<i32>(),
+            b in proptest::prelude::any::<i32>(),
+            small in -4096i32..4096,
+        ) {
+            check_against_oracles::<16>(a, b);
+            check_against_oracles::<20>(a, b);
+            check_against_oracles::<28>(a, b);
+            // Divisors near ±1 stress the saturating end of the quotient.
+            check_against_oracles::<16>(a, small);
+            check_against_oracles::<20>(a, small);
+            check_against_oracles::<28>(a, small);
+        }
     }
 
     #[test]

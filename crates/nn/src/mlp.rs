@@ -690,7 +690,7 @@ impl<S: Scalar> Mlp<S> {
             mlp: self,
             trace,
             dl_dout,
-            grads,
+            grads: Some(grads),
         }];
         let mut outs = backward_batch_fused(&mut passes, par)?;
         Ok(outs.pop().expect("one pass in, one input gradient out"))
@@ -1011,7 +1011,7 @@ fn forward_batch_fused_driver<S: Scalar>(
 
 /// One independent batched backward pass in a fused group: the network,
 /// its forward trace, the output gradient, and the gradient buffer it
-/// accumulates into. See [`backward_batch_fused`].
+/// accumulates into, if any. See [`backward_batch_fused`].
 pub struct FusedBackward<'a, S: Scalar> {
     /// Network to back-propagate through.
     pub mlp: &'a Mlp<S>,
@@ -1019,8 +1019,11 @@ pub struct FusedBackward<'a, S: Scalar> {
     pub trace: &'a BatchTrace<S>,
     /// `(batch, output_dim)` loss gradient w.r.t. the output.
     pub dl_dout: &'a Matrix<S>,
-    /// Gradient buffer shaped by [`MlpGrads::zeros_like`] on `mlp`.
-    pub grads: &'a mut MlpGrads<S>,
+    /// Gradient buffer shaped by [`MlpGrads::zeros_like`] on `mlp`, or
+    /// `None` for an input-gradient-only pass: the weight-gradient outer
+    /// products and bias sums are skipped, the error MVMs still run, and
+    /// the returned input gradient is bit-identical to a full pass's.
+    pub grads: Option<&'a mut MlpGrads<S>>,
 }
 
 /// Runs several **independent** batched backward passes layer-locked
@@ -1030,7 +1033,9 @@ pub struct FusedBackward<'a, S: Scalar> {
 /// its error MVM (batch-row shards) — for TD3's twin critics that is
 /// four kernels under a single join where the unfused path paid four.
 /// Bias gradients accumulate on the calling thread (ascending sample
-/// order, as documented) while the shards run.
+/// order, as documented) while the shards run. A pass with
+/// `grads: None` runs only its error MVMs: the layer deltas never
+/// depend on the gradients, so its input gradient is unchanged.
 ///
 /// Element `i` of the result — and `passes[i].grads` — is bit-identical
 /// to `passes[i].mlp.backward_batch_par(..)` run on its own, in every
@@ -1055,7 +1060,7 @@ pub fn backward_batch_fused<S: Scalar>(
                 p.dl_dout.shape(),
             )));
         }
-        if p.grads.w.len() != n {
+        if p.grads.as_ref().is_some_and(|g| g.w.len() != n) {
             return Err(NnError::InvalidConfig(
                 "gradient buffer has wrong layer count".into(),
             ));
@@ -1100,16 +1105,23 @@ pub fn backward_batch_fused<S: Scalar>(
                 }
                 let l = n - 1 - s;
                 let delta = &deltas[i];
-                let MlpGrads { w, b } = &mut *p.grads;
-                w[l].add_outer_batch_par_in(delta, &p.trace.inputs[l], ks)?;
                 let err = err_slot.as_mut().expect("active pass has an err buffer");
+                let bias = match p.grads.as_deref_mut() {
+                    Some(g) => {
+                        g.w[l].add_outer_batch_par_in(delta, &p.trace.inputs[l], ks)?;
+                        Some(&mut g.b[l])
+                    }
+                    None => None,
+                };
                 p.mlp.pack(l).gemv_t_batch_par_in(delta, err, ks)?;
                 // Bias gradients: ascending sample order on the calling
                 // thread, overlapping the queued shards (disjoint from
                 // both kernel outputs).
-                for bi in 0..delta.rows() {
-                    for (gb, &d) in b[l].iter_mut().zip(delta.row(bi)) {
-                        *gb += d;
+                if let Some(b) = bias {
+                    for bi in 0..delta.rows() {
+                        for (gb, &d) in b.iter_mut().zip(delta.row(bi)) {
+                            *gb += d;
+                        }
                     }
                 }
             }
@@ -1647,13 +1659,13 @@ mod tests {
                         mlp: &c1,
                         trace: &t1,
                         dl_dout: &dl1,
-                        grads: &mut g1,
+                        grads: Some(&mut g1),
                     },
                     FusedBackward {
                         mlp: &c2,
                         trace: &t2,
                         dl_dout: &dl2,
-                        grads: &mut g2,
+                        grads: Some(&mut g2),
                     },
                 ],
                 &par,
@@ -1675,11 +1687,109 @@ mod tests {
                 mlp: &c1,
                 trace: &t1,
                 dl_dout: &bad,
-                grads: &mut g,
+                grads: Some(&mut g),
             }],
             &Parallelism::sequential(),
         )
         .is_err());
+    }
+
+    /// `grads: None` must return the input gradient of a full backward,
+    /// bit for bit, single-pass and fused twin, at 1, 2 and 8 workers.
+    fn input_gradient_only_matches_full_backward<S: Scalar>() {
+        use fixar_pool::Parallelism;
+        let cfg = MlpConfig::new(vec![6, 14, 17, 1]);
+        let c1 = Mlp::<S>::new_random(&cfg, 41).unwrap();
+        let c2 = Mlp::<S>::new_random(&cfg, 42).unwrap();
+        let x = fx32_batch(9, 6).cast::<S>();
+        let dl1 = Matrix::<f64>::from_fn(9, 1, |b, _| (b as f64 - 4.0) * 0.11).cast::<S>();
+        let dl2 = Matrix::<f64>::from_fn(9, 1, |b, _| (b as f64 - 2.0) * 0.07).cast::<S>();
+        let t1 = c1.forward_batch_trace(&x).unwrap();
+        let t2 = c2.forward_batch_trace(&x).unwrap();
+        let e1_ref = c1
+            .backward_batch(&t1, &dl1, &mut MlpGrads::zeros_like(&c1))
+            .unwrap();
+        let e2_ref = c2
+            .backward_batch(&t2, &dl2, &mut MlpGrads::zeros_like(&c2))
+            .unwrap();
+
+        for workers in [1usize, 2, 8] {
+            let par = Parallelism::with_workers(workers);
+            let single = backward_batch_fused(
+                &mut [FusedBackward {
+                    mlp: &c1,
+                    trace: &t1,
+                    dl_dout: &dl1,
+                    grads: None,
+                }],
+                &par,
+            )
+            .unwrap();
+            assert_eq!(single[0], e1_ref, "workers {workers}: single pass");
+
+            // Twin passes, one with gradients and one without: the
+            // gradient-carrying pass is unaffected by its sibling.
+            let mut g1 = MlpGrads::zeros_like(&c1);
+            let twin = backward_batch_fused(
+                &mut [
+                    FusedBackward {
+                        mlp: &c1,
+                        trace: &t1,
+                        dl_dout: &dl1,
+                        grads: Some(&mut g1),
+                    },
+                    FusedBackward {
+                        mlp: &c2,
+                        trace: &t2,
+                        dl_dout: &dl2,
+                        grads: None,
+                    },
+                ],
+                &par,
+            )
+            .unwrap();
+            assert_eq!(twin[0], e1_ref, "workers {workers}: twin pass 1");
+            assert_eq!(twin[1], e2_ref, "workers {workers}: twin pass 2");
+            let mut g1_ref = MlpGrads::zeros_like(&c1);
+            c1.backward_batch(&t1, &dl1, &mut g1_ref).unwrap();
+            assert_eq!(g1.w, g1_ref.w, "workers {workers}: twin weight grads");
+            assert_eq!(g1.b, g1_ref.b, "workers {workers}: twin bias grads");
+
+            let both = backward_batch_fused(
+                &mut [
+                    FusedBackward {
+                        mlp: &c1,
+                        trace: &t1,
+                        dl_dout: &dl1,
+                        grads: None,
+                    },
+                    FusedBackward {
+                        mlp: &c2,
+                        trace: &t2,
+                        dl_dout: &dl2,
+                        grads: None,
+                    },
+                ],
+                &par,
+            )
+            .unwrap();
+            assert_eq!(both, [e1_ref.clone(), e2_ref.clone()], "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn input_gradient_only_backward_is_bit_exact_fx32() {
+        input_gradient_only_matches_full_backward::<Fx32>();
+    }
+
+    #[test]
+    fn input_gradient_only_backward_is_bit_exact_q32_28() {
+        input_gradient_only_matches_full_backward::<fixar_fixed::Q32<28>>();
+    }
+
+    #[test]
+    fn input_gradient_only_backward_is_bit_exact_f64() {
+        input_gradient_only_matches_full_backward::<f64>();
     }
 
     #[test]

@@ -309,7 +309,6 @@ pub struct Ddpg<S: Scalar> {
     critic_target_qat: QatRuntime,
     actor_grads: MlpGrads<S>,
     critic_grads: MlpGrads<S>,
-    critic_scratch: MlpGrads<S>,
     cfg: DdpgConfig,
     par: Parallelism,
     state_dim: usize,
@@ -389,7 +388,6 @@ impl<S: Scalar> Ddpg<S> {
         };
         let actor_grads = MlpGrads::zeros_like(&actor);
         let critic_grads = MlpGrads::zeros_like(&critic);
-        let critic_scratch = critic_grads.clone();
         let par = Parallelism::from_env_or(cfg.parallel_workers);
         Ok(Self {
             actor,
@@ -404,7 +402,6 @@ impl<S: Scalar> Ddpg<S> {
             critic_target_qat,
             actor_grads,
             critic_grads,
-            critic_scratch,
             cfg,
             par,
             state_dim,
@@ -699,7 +696,6 @@ impl<S: Scalar> Ddpg<S> {
 
         // Actor ascent on Q through the batched critic input gradient.
         self.actor_grads.reset();
-        self.critic_scratch.reset();
         let atrace = self
             .actor
             .forward_batch_qat_par(&states, &mut self.actor_qat, &self.par)?;
@@ -709,13 +705,20 @@ impl<S: Scalar> Ddpg<S> {
         let ctrace =
             self.critic
                 .forward_batch_qat_par(&policy_in, &mut self.critic_qat, &self.par)?;
+        // Only the critic's input gradient is needed here: the pass
+        // skips the critic's weight-gradient outer products and bias sums.
         let minus_scale = Matrix::from_fn(b, 1, |_, _| S::from_f64(-scale));
-        let dq_dinput = self.critic.backward_batch_par(
-            &ctrace,
-            &minus_scale,
-            &mut self.critic_scratch,
+        let dq_dinput = fixar_nn::backward_batch_fused(
+            &mut [fixar_nn::FusedBackward {
+                mlp: &self.critic,
+                trace: &ctrace,
+                dl_dout: &minus_scale,
+                grads: None,
+            }],
             &self.par,
-        )?;
+        )?
+        .pop()
+        .expect("one pass in, one input gradient out");
         let dq_da = dq_dinput.columns(self.state_dim, self.state_dim + self.action_dim);
         self.actor
             .backward_batch_par(&atrace, &dq_da, &mut self.actor_grads, &self.par)?;
@@ -798,8 +801,9 @@ impl<S: Scalar> Ddpg<S> {
 
         // Actor ascent on Q: the critic's input gradient w.r.t. the action
         // "leads the BP and WU of the actor network".
+        // The critic's parameter gradients of this pass are discarded.
         self.actor_grads.reset();
-        self.critic_scratch.reset();
+        let mut critic_scratch = MlpGrads::zeros_like(&self.critic);
         let minus_scale = [S::from_f64(-scale)];
         for t in batch {
             let s: Vec<S> = t.state.iter().map(|&v| S::from_f64(v)).collect();
@@ -807,9 +811,9 @@ impl<S: Scalar> Ddpg<S> {
             let mut critic_in = s;
             critic_in.extend_from_slice(&atrace.output);
             let ctrace = self.critic.forward_qat(&critic_in, &mut self.critic_qat)?;
-            let dq_dinput =
-                self.critic
-                    .backward(&ctrace, &minus_scale, &mut self.critic_scratch)?;
+            let dq_dinput = self
+                .critic
+                .backward(&ctrace, &minus_scale, &mut critic_scratch)?;
             let dq_da = &dq_dinput[self.state_dim..];
             self.actor.backward(&atrace, dq_da, &mut self.actor_grads)?;
         }

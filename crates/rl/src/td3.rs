@@ -188,7 +188,6 @@ pub struct Td3<S: Scalar> {
     /// Second gradient buffer so both twin critics can accumulate
     /// inside one fused backward scope (disjoint outputs).
     critic2_grads: MlpGrads<S>,
-    critic_scratch: MlpGrads<S>,
     actor_qat: QatRuntime,
     critic1_qat: QatRuntime,
     critic2_qat: QatRuntime,
@@ -279,7 +278,6 @@ impl<S: Scalar> Td3<S> {
             actor_grads: MlpGrads::zeros_like(&actor),
             critic_grads: MlpGrads::zeros_like(&critic1),
             critic2_grads: MlpGrads::zeros_like(&critic2),
-            critic_scratch: MlpGrads::zeros_like(&critic1),
             actor_qat: aq,
             critic1_qat: c1q,
             critic2_qat: c2q,
@@ -632,13 +630,13 @@ impl<S: Scalar> Td3<S> {
                     mlp: &self.critic1,
                     trace: &traces[0],
                     dl_dout: dl1,
-                    grads: &mut self.critic_grads,
+                    grads: Some(&mut self.critic_grads),
                 },
                 fixar_nn::FusedBackward {
                     mlp: &self.critic2,
                     trace: &traces[1],
                     dl_dout: dl2,
-                    grads: &mut self.critic2_grads,
+                    grads: Some(&mut self.critic2_grads),
                 },
             ],
             &par,
@@ -652,7 +650,6 @@ impl<S: Scalar> Td3<S> {
         // Delayed policy and target updates (through critic 1 only).
         if self.critic_updates.is_multiple_of(self.cfg.policy_delay) {
             self.actor_grads.reset();
-            self.critic_scratch.reset();
             let atrace =
                 self.actor
                     .forward_batch_qat_par(&states, &mut self.actor_qat, &self.par)?;
@@ -662,13 +659,20 @@ impl<S: Scalar> Td3<S> {
             let ctrace =
                 self.critic1
                     .forward_batch_qat_par(&policy_in, &mut self.critic1_qat, &self.par)?;
+            // Input gradient only: critic 1's parameter gradients of
+            // this pass would be discarded, so they are never formed.
             let minus_scale = Matrix::from_fn(b, 1, |_, _| S::from_f64(-scale));
-            let dq_dinput = self.critic1.backward_batch_par(
-                &ctrace,
-                &minus_scale,
-                &mut self.critic_scratch,
+            let dq_dinput = fixar_nn::backward_batch_fused(
+                &mut [fixar_nn::FusedBackward {
+                    mlp: &self.critic1,
+                    trace: &ctrace,
+                    dl_dout: &minus_scale,
+                    grads: None,
+                }],
                 &self.par,
-            )?;
+            )?
+            .pop()
+            .expect("one pass in, one input gradient out");
             let dq_da = dq_dinput.columns(self.state_dim, self.state_dim + self.action_dim);
             self.actor
                 .backward_batch_par(&atrace, &dq_da, &mut self.actor_grads, &self.par)?;
@@ -752,8 +756,9 @@ impl<S: Scalar> Td3<S> {
         // Delayed policy and target updates (through critic 1 only, per
         // the TD3 paper).
         if self.critic_updates.is_multiple_of(self.cfg.policy_delay) {
+            // Critic 1's parameter gradients of this pass are discarded.
             self.actor_grads.reset();
-            self.critic_scratch.reset();
+            let mut critic_scratch = MlpGrads::zeros_like(&self.critic1);
             let minus_scale = [S::from_f64(-scale)];
             for t in batch {
                 let s: Vec<S> = t.state.iter().map(|&v| S::from_f64(v)).collect();
@@ -765,7 +770,7 @@ impl<S: Scalar> Td3<S> {
                     .forward_qat(&critic_in, &mut self.critic1_qat)?;
                 let dq_dinput =
                     self.critic1
-                        .backward(&ctrace, &minus_scale, &mut self.critic_scratch)?;
+                        .backward(&ctrace, &minus_scale, &mut critic_scratch)?;
                 let dq_da = &dq_dinput[self.state_dim..];
                 self.actor.backward(&atrace, dq_da, &mut self.actor_grads)?;
             }

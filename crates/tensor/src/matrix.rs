@@ -3,7 +3,7 @@
 use core::fmt;
 use core::ops::{Index, IndexMut, Range};
 use std::error::Error;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fixar_fixed::Scalar;
 use fixar_pool::{split_ranges, KernelScope, Parallelism};
@@ -1172,8 +1172,28 @@ impl<S: Scalar> Matrix<S> {
 
     /// Returns the transposed matrix (a data copy; the accelerator never
     /// materializes this — it redistributes reads instead).
+    ///
+    /// The copy walks `TRANSPOSE_BLOCK`-square tiles, so both the
+    /// strided reads and the contiguous writes of a tile stay in L1.
     pub fn transposed(&self) -> Matrix<S> {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.data[c * self.cols + r])
+        const B: usize = TRANSPOSE_BLOCK;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut data = vec![S::zero(); rows * cols];
+        for r0 in (0..rows).step_by(B) {
+            let r1 = (r0 + B).min(rows);
+            for c0 in (0..cols).step_by(B) {
+                for c in c0..(c0 + B).min(cols) {
+                    for (r, d) in (r0..r1).zip(&mut data[c * rows + r0..c * rows + r1]) {
+                        *d = self.data[r * cols + c];
+                    }
+                }
+            }
+        }
+        Matrix {
+            rows: cols,
+            cols: rows,
+            data,
+        }
     }
 
     /// Converts every element to another scalar backend through `f64`.
@@ -1194,26 +1214,16 @@ impl<S: Scalar> Matrix<S> {
     }
 
     /// Builds the cache-resident packed layout for this matrix — see
-    /// [`WeightPack`].
+    /// [`WeightPack`]. Only the forward half (the transpose and the row
+    /// bound) is built here; the `gemv_t_batch` panels follow on first
+    /// use.
     pub fn pack(&self) -> WeightPack<S> {
-        let panels = self.cols.div_ceil(GEMV_T_PANEL);
-        let mut w_panels = vec![S::zero(); panels * self.rows * GEMV_T_PANEL];
-        for p in 0..panels {
-            for i in 0..self.rows {
-                let j0 = p * GEMV_T_PANEL;
-                let width = GEMV_T_PANEL.min(self.cols - j0);
-                let dst = (p * self.rows + i) * GEMV_T_PANEL;
-                w_panels[dst..dst + width]
-                    .copy_from_slice(&self.data[i * self.cols + j0..i * self.cols + j0 + width]);
-            }
-        }
         WeightPack {
             rows: self.rows,
             cols: self.cols,
             wt: self.transposed(),
-            w_panels,
             row_abs_sum: self.max_row_abs_sum(),
-            col_abs_sum: self.max_col_abs_sum(),
+            backward: OnceLock::new(),
         }
     }
 
@@ -1247,6 +1257,9 @@ impl<S: Scalar> Matrix<S> {
     }
 }
 
+/// Side of the square tiles [`Matrix::transposed`] copies through.
+const TRANSPOSE_BLOCK: usize = 16;
+
 /// Width of the register-blocked output panel in the packed
 /// `gemv_t_batch` kernel: one panel of accumulators stays resident
 /// while a weight panel streams past with unit stride.
@@ -1266,6 +1279,15 @@ const GEMV_T_PANEL: usize = 16;
 /// times between weight updates (training batches, serving) pays for
 /// the pack once.
 ///
+/// Each layout is built only if a kernel uses it. [`Matrix::pack`]
+/// builds the transpose; the first [`WeightPack::gemv_t_batch`] call
+/// (or any of its forms) gathers the column panels from the transpose's
+/// unit-stride rows, on the calling thread, before any shard starts. A
+/// network that only runs forwards — a DDPG target network, a served
+/// policy — never pays for the panels. Equality compares the snapshot
+/// (shape, transpose, row bound), never whether the panels exist yet:
+/// the panels are a pure function of the transpose.
+///
 /// The packed kernels are **bit-identical** to their unpacked
 /// [`Matrix`] counterparts, so packed ≡ unpacked ≡ per-sample in every
 /// backend, including saturating `Fx32`, at every worker count. Each
@@ -1281,22 +1303,66 @@ const GEMV_T_PANEL: usize = 16;
 /// mutations of the source matrix. Callers that mutate weights must
 /// rebuild (or, like `fixar-nn`'s `Mlp`, invalidate and lazily rebuild)
 /// the pack.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct WeightPack<S> {
     rows: usize,
     cols: usize,
     /// `(cols, rows)` row-major transpose of the source matrix.
     wt: Matrix<S>,
-    /// Zero-padded column panels of the source matrix for the packed
-    /// `gemv_t_batch` kernel: element `(i, p * GEMV_T_PANEL + t)` of the
-    /// source lives at `(p * rows + i) * GEMV_T_PANEL + t`.
-    w_panels: Vec<S>,
     /// Largest raw row sum `maxᵢ Σⱼ|wᵢⱼ|` of this snapshot — the
     /// `gemv_batch` certificate's weight bound.
     row_abs_sum: u64,
+    /// The `gemv_t_batch` layout, gathered from `wt` on first use.
+    backward: OnceLock<GemvTPanels<S>>,
+}
+
+impl<S: PartialEq> PartialEq for WeightPack<S> {
+    fn eq(&self, other: &Self) -> bool {
+        // `backward` is derived from `wt`, so it cannot differ when the
+        // snapshots agree — whether or not either side has built it.
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_abs_sum == other.row_abs_sum
+            && self.wt == other.wt
+    }
+}
+
+/// The transposed-MVM half of a [`WeightPack`].
+#[derive(Debug, Clone)]
+struct GemvTPanels<S> {
+    /// Zero-padded column panels of the source matrix: element
+    /// `(i, p * GEMV_T_PANEL + t)` of the source lives at
+    /// `(p * rows + i) * GEMV_T_PANEL + t`.
+    w_panels: Vec<S>,
     /// Largest raw column sum `maxⱼ Σᵢ|wᵢⱼ|` — the `gemv_t_batch`
     /// certificate's weight bound.
     col_abs_sum: u64,
+}
+
+impl<S: Scalar> GemvTPanels<S> {
+    /// Gathers the panels and the column bound from the `(cols, rows)`
+    /// transpose `wt`, whose row `j` is column `j` of the source: each
+    /// source column is read with unit stride and scattered into its
+    /// lane of one panel.
+    fn gather(wt: &Matrix<S>) -> Self {
+        const PW: usize = GEMV_T_PANEL;
+        let (cols, rows) = wt.shape();
+        let mut w_panels = vec![S::zero(); cols.div_ceil(PW) * rows * PW];
+        let mut col_abs_sum = 0;
+        if rows > 0 {
+            for (j, col) in wt.data.chunks_exact(rows).enumerate() {
+                let panel = &mut w_panels[(j / PW) * rows * PW..(j / PW + 1) * rows * PW];
+                for (dst, &w) in panel[j % PW..].iter_mut().step_by(PW).zip(col) {
+                    *dst = w;
+                }
+                col_abs_sum = col_abs_sum.max(cert::raw_abs_sum(col.iter().copied()));
+            }
+        }
+        Self {
+            w_panels,
+            col_abs_sum,
+        }
+    }
 }
 
 impl<S: Scalar> WeightPack<S> {
@@ -1318,6 +1384,11 @@ impl<S: Scalar> WeightPack<S> {
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
+    }
+
+    /// The `gemv_t_batch` layout, gathered on first use.
+    fn panels(&self) -> &GemvTPanels<S> {
+        self.backward.get_or_init(|| GemvTPanels::gather(&self.wt))
     }
 
     fn check_gemv_batch(&self, a: &Matrix<S>, y: &Matrix<S>) -> Result<(), ShapeError> {
@@ -1449,7 +1520,7 @@ impl<S: Scalar> WeightPack<S> {
     /// Same shape conditions as [`Matrix::gemv_t_batch`].
     pub fn gemv_t_batch(&self, e: &Matrix<S>, y: &mut Matrix<S>) -> Result<(), ShapeError> {
         self.check_gemv_t_batch(e, y)?;
-        gemv_t_batch_span_packed(self, e, 0..e.rows, &mut y.data);
+        gemv_t_batch_span_packed(self.panels(), self.shape(), e, 0..e.rows, &mut y.data);
         Ok(())
     }
 
@@ -1475,14 +1546,15 @@ impl<S: Scalar> WeightPack<S> {
             return self.gemv_t_batch(e, y);
         }
         self.check_gemv_t_batch(e, y)?;
-        let cols = self.cols;
+        let (shape, cols) = (self.shape(), self.cols);
+        let panels = self.panels();
         let pool = par.pool().expect("shards > 1 implies a pool");
         pool.scope(|scope| {
             let mut rest = y.data.as_mut_slice();
             for range in split_ranges(e.rows, shards) {
                 let (chunk, tail) = rest.split_at_mut(range.len() * cols);
                 rest = tail;
-                scope.execute(move || gemv_t_batch_span_packed(self, e, range, chunk));
+                scope.execute(move || gemv_t_batch_span_packed(panels, shape, e, range, chunk));
             }
         })
         .unwrap_or_else(|err| panic!("gemv_t_batch_par worker panicked: {err}"));
@@ -1504,13 +1576,14 @@ impl<S: Scalar> WeightPack<S> {
         ks: &KernelScope<'_, '_, 'scope>,
     ) -> Result<(), ShapeError> {
         self.check_gemv_t_batch(e, y)?;
-        let cols = self.cols;
+        let (shape, cols) = (self.shape(), self.cols);
+        let panels = self.panels();
         let shards = ks.shards(e.rows);
         let mut rest = y.data.as_mut_slice();
         for range in split_ranges(e.rows, shards) {
             let (chunk, tail) = rest.split_at_mut(range.len() * cols);
             rest = tail;
-            ks.submit(move || gemv_t_batch_span_packed(self, e, range, chunk));
+            ks.submit(move || gemv_t_batch_span_packed(panels, shape, e, range, chunk));
         }
         Ok(())
     }
@@ -1699,13 +1772,14 @@ fn gemv_t_batch_rows<S: Scalar>(
 /// [`gemv_t_batch_panels`] with the wrapping MAC or the saturating
 /// chain (see [`gemv_batch_span`]).
 fn gemv_t_batch_span_packed<S: Scalar>(
-    pack: &WeightPack<S>,
+    pack: &GemvTPanels<S>,
+    (rows, cols): (usize, usize),
     e: &Matrix<S>,
     batch: Range<usize>,
     y_chunk: &mut [S],
 ) {
     let e_rows = &e.data[batch.start * e.cols..batch.end * e.cols];
-    let (panels, rows, cols) = (&pack.w_panels[..], pack.rows, pack.cols);
+    let panels = &pack.w_panels[..];
     if certify_span(pack.col_abs_sum, e_rows, rows) {
         gemv_t_batch_panels(panels, rows, cols, e, batch, y_chunk, S::wrapping_mac);
     } else {
@@ -2075,6 +2149,76 @@ mod tests {
                 pack.gemv_t_batch_par(&e, &mut tp, &par).unwrap();
                 assert_eq!(bwd, tp);
             }
+        }
+    }
+
+    /// The column panels as the eager pack built them before the lazy
+    /// half existed: copied row by row from the source matrix.
+    fn eager_panels<S: Scalar>(w: &Matrix<S>) -> Vec<S> {
+        const PW: usize = GEMV_T_PANEL;
+        let panels = w.cols.div_ceil(PW);
+        let mut out = vec![S::zero(); panels * w.rows * PW];
+        for p in 0..panels {
+            for i in 0..w.rows {
+                let j0 = p * PW;
+                let width = PW.min(w.cols - j0);
+                let dst = (p * w.rows + i) * PW;
+                out[dst..dst + width].copy_from_slice(&w.row(i)[j0..j0 + width]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn lazy_panels_equal_the_eager_build_and_leave_equality_alone() {
+        for &(rows, cols) in &[(1, 1), (5, 7), (3, 16), (4, 17), (33, 40), (300, 400)] {
+            let (w, _) = fx32_case(rows, cols, 1);
+            let pack = w.pack();
+            let fresh = w.pack();
+            assert!(
+                pack.backward.get().is_none(),
+                "pack() must not build the panels"
+            );
+            let e = Matrix::<f64>::from_fn(5, rows, |b, r| ((b * 7 + r) % 9) as f64 * 0.2 - 0.8)
+                .cast::<Fx32>();
+            let mut y = Matrix::zeros(5, cols);
+            pack.gemv_t_batch(&e, &mut y).unwrap();
+            assert_eq!(y, w.gemv_t_batch_alloc(&e).unwrap());
+            let built = pack
+                .backward
+                .get()
+                .expect("first gemv_t_batch builds the panels");
+            assert_eq!(built.w_panels, eager_panels(&w));
+            assert_eq!(built.col_abs_sum, w.max_col_abs_sum());
+            // Built and unbuilt packs of one snapshot compare equal, in
+            // both directions, and a clone keeps whichever state it had.
+            assert_eq!(pack, fresh);
+            assert_eq!(fresh, pack);
+            assert_eq!(pack.clone(), fresh.clone());
+            assert!(pack.clone().backward.get().is_some());
+            assert!(fresh.clone().backward.get().is_none());
+        }
+        let (w, _) = fx32_case(5, 7, 1);
+        let (mut v, _) = fx32_case(5, 7, 1);
+        v[(4, 6)] += Fx32::EPSILON;
+        assert_ne!(w.pack(), v.pack());
+    }
+
+    #[test]
+    fn blocked_transpose_matches_the_strided_definition() {
+        for &(rows, cols) in &[
+            (0, 3),
+            (1, 1),
+            (1, 40),
+            (15, 17),
+            (16, 16),
+            (33, 31),
+            (300, 400),
+        ] {
+            let w = Matrix::<f64>::from_fn(rows, cols, |r, c| (r * 1000 + c) as f64);
+            let t = w.transposed();
+            assert_eq!(t.shape(), (cols, rows));
+            assert_eq!(t, Matrix::from_fn(cols, rows, |r, c| w[(c, r)]));
         }
     }
 

@@ -359,6 +359,48 @@ fn kernels_match_chain_oracles<S: Scalar>(
     Ok([fwd, bwd, grad])
 }
 
+/// A fresh pack builds its `gemv_t_batch` panels on the first call of
+/// whichever form comes first — sequential, `_par` or `_par_in`, at 1, 2
+/// and 8 workers. Every first call, and a sequential call after it,
+/// must equal the unpacked kernel, and the pack must compare equal to an
+/// unbuilt pack of the same matrix either way round.
+fn lazy_panels_match_unpacked<S: Scalar>(
+    w: &Matrix<S>,
+    e: &Matrix<S>,
+) -> Result<(), TestCaseError> {
+    let want = w.gemv_t_batch_alloc(e).unwrap();
+    let shape = (e.rows(), w.cols());
+    let check =
+        |pack: &fixar_tensor::WeightPack<S>, first: Matrix<S>| -> Result<(), TestCaseError> {
+            prop_assert_eq!(&first, &want);
+            let mut again = Matrix::zeros(shape.0, shape.1);
+            pack.gemv_t_batch(e, &mut again).unwrap();
+            prop_assert_eq!(&again, &want);
+            let unbuilt = w.pack();
+            prop_assert_eq!(pack, &unbuilt);
+            prop_assert_eq!(&unbuilt, pack);
+            Ok(())
+        };
+    let pack = w.pack();
+    let mut y = Matrix::zeros(shape.0, shape.1);
+    pack.gemv_t_batch(e, &mut y).unwrap();
+    check(&pack, y)?;
+    for workers in WORKERS {
+        let par = Parallelism::with_workers(workers);
+        let pack = w.pack();
+        let mut y = Matrix::zeros(shape.0, shape.1);
+        pack.gemv_t_batch_par(e, &mut y, &par).unwrap();
+        check(&pack, y)?;
+        let pack = w.pack();
+        let mut y = Matrix::zeros(shape.0, shape.1);
+        par.fused(|ks| pack.gemv_t_batch_par_in(e, &mut y, ks))
+            .unwrap()
+            .unwrap();
+        check(&pack, y)?;
+    }
+    Ok(())
+}
+
 /// Raw-domain random operands for `Q32<F>`: weights in `±1.0`, inputs
 /// and errors scaled so `Σ|w|·max|x|` lands near `2^(31 + scale)` —
 /// negative `scale` certifies, positive `scale` is refused and often
@@ -410,6 +452,19 @@ proptest! {
         kernels_match_chain_oracles::<Fx32>(&w, &a, &e, &g)?;
         let [w, a, e, g] = random_case::<28>(shape, scale, &u);
         kernels_match_chain_oracles(&w, &a, &e, &g)?;
+    }
+
+    #[test]
+    fn lazily_panelled_packs_equal_unpacked_at_every_first_use(
+        shape in exact_mac_shape(),
+        scale in -8i32..4,
+        u in prop::collection::vec(-1.0..1.0f64, 97),
+    ) {
+        let [w, _, e, _] = random_case::<20>(shape, scale, &u);
+        lazy_panels_match_unpacked::<Fx32>(&w, &e)?;
+        let [w, _, e, _] = random_case::<28>(shape, scale, &u);
+        lazy_panels_match_unpacked(&w, &e)?;
+        lazy_panels_match_unpacked(&w.cast::<f64>(), &e.cast::<f64>())?;
     }
 
     #[test]
